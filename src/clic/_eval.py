@@ -1,118 +1,211 @@
-"""Bitmask evaluation engine behind the search-heavy modules.
+"""Frame-major, valuation-parallel evaluation engine behind the searches.
 
-States are numbered by position and every extension is an int bitmask.
-A ModelContext precomputes, per coalition, the possible outcome sets of
-each joint action; from those one table lookup answers "where can this
-coalition ensure a goal with this extension".  Formulas compile once
-into plain lambdas over the table, so scanning a formula over thousands
-of models costs about a microsecond per model.
+In a size block of `enumerate_models`, model v * n_frames + f pairs
+valuation v with frame (outcome function) f.  The engine streams each
+block's frames once and evaluates all valuations of a frame together: a
+value is a tuple with one int per state whose bit v is the truth there
+under valuation v.  E[C] g at s is the OR, over the minimal state sets
+C's joint actions reach from s, of the AND of g over each set, and
+I[C] g is its complement.  Reach sets depend only on the state's
+outcome row, so a frame is the tuple of its states' row numbers.
 
-Everything here is internal.  The reference clauses live in `semantics`
-and stay the source of truth; verdicts derived from this engine are
-replayed through them before being handed out.
+Everything here is internal: callers replay what it finds through the
+reference clauses in `semantics`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from math import prod
+from operator import and_, or_, xor
+from typing import Iterator
 
 from .formula import (
     Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
 )
-from .model import Bounds, CoalitionModel, enumerate_models
+from .model import Bounds, CoalitionModel, block_model, size_blocks
 
-__all__ = ["ModelContext", "build_space", "compile_formula"]
+__all__ = ["Block", "blocks", "compile_formula", "first_failure"]
 
 
-class ModelContext:
-    """One model's lookup tables, aligned to a fixed proposition list."""
+@lru_cache(maxsize=64)
+def _lanes(n_states: int, n_props: int):
+    """Each atom's lane vector per state, and the mask of all lanes:
+    atom j holds in digit j of v, base 2**n_states, first atom slowest."""
+    full = (1 << (1 << n_states * n_props)) - 1
 
-    __slots__ = ("model", "n_states", "full", "init_bit", "prop_masks",
-                 "table")
+    def bit(b):     # lanes v with bit b of v set: runs of 2**b ones
+        run = 1 << b
+        return full // ((1 << 2 * run) - 1) * ((1 << run) - 1 << run)
+    return tuple(tuple(bit(n_states * (n_props - 1 - j) + i)
+                       for i in range(n_states))
+                 for j in range(n_props)), full
 
-    def __init__(self, m: CoalitionModel, props: tuple[str, ...]):
-        self.model = m
-        ns = len(m.states)
-        self.n_states = ns
-        self.full = (1 << ns) - 1
-        index = {s: i for i, s in enumerate(m.states)}
-        self.init_bit = 1 << index[m.initial]
-        self.prop_masks = tuple(
-            sum(1 << index[s] for s in m.valuation.get(p, ()))
-            for p in props)
 
-        # For each coalition: group the full profiles by the coalition's
-        # share and record each group's set of reachable states.  The
-        # coalition can ensure a goal at a state exactly when one of its
-        # joint actions has all reachable states inside the goal.
-        full_profiles = list(product(*m.actions))
-        n = m.n_agents
-        table = []
-        for cmask in range(1 << n):
-            members = [i for i in range(n) if cmask >> i & 1]
-            per_state = []
-            for s in m.states:
-                reach: dict[tuple[str, ...], int] = {}
-                for prof in full_profiles:
-                    key = tuple(prof[i] for i in members)
-                    bit = 1 << index[m.outcome[(s, prof)]]
-                    reach[key] = reach.get(key, 0) | bit
-                per_state.append(list(reach.values()))
-            row = []
-            for goal in range(self.full + 1):
-                bits = 0
-                for si in range(ns):
-                    for cand in per_state[si]:
-                        if cand & ~goal == 0:
-                            bits |= 1 << si
-                            break
-                row.append(bits)
-            table.append(row)
-        self.table = table
+@lru_cache(maxsize=64)
+def _columns(n_states: int, sizes: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Per coalition bitmask, per outcome row, the minimal reach sets; a
+    row holds a state's targets per complete profile, and rows are
+    numbered in the order enumerate_models assigns outcomes in."""
+    n = len(sizes)
+    full = list(product(*map(range, sizes)))
+    rows = list(product(range(n_states), repeat=len(full)))
+    shares = [[tuple(p[i] for i in range(n) if c >> i & 1) for p in full]
+              for c in range(1 << n)]
+    return tuple(tuple(_minimal_reach(share, row) for row in rows)
+                 for share in shares)
+
+
+def _minimal_reach(share: list, row: tuple[int, ...]) -> tuple:
+    reach: dict[tuple[int, ...], set[int]] = {}
+    for key, target in zip(share, row):
+        reach.setdefault(key, set()).add(target)
+    sets = set(map(frozenset, reach.values()))
+    return tuple(tuple(sorted(s)) for s in sets
+                 if not any(o < s for o in sets))
+
+
+def _reach(g: tuple[int, ...], sets: tuple[tuple[int, ...], ...]) -> int:
+    return reduce(or_, [reduce(and_, map(g.__getitem__, s)) for s in sets])
+
+
+class Block:
+    """One size block of a model space: frames times valuations."""
+
+    def __init__(self, b: Bounds, n_agents: int, n_states: int,
+                 sizes: tuple[int, ...]):
+        self.bounds, self.sizes = b, sizes
+        self.n_agents, self.n_states = n_agents, n_states
+        self.columns = _columns(n_states, sizes)
+        self.atoms, self.full = _lanes(n_states, len(b.props))
+        self.top, self.bot = (self.full,) * n_states, (0,) * n_states
+        # A frame picks a row per state.  Unless all states vary, state i > 0
+        # loops to itself: row (i, ..., i), number i*(rows-1)/(n_states-1).
+        rows = len(self.columns[0])
+        self.choices = [
+            range(rows) if b.vary_all_states or i == 0
+            else (i * (rows - 1) // (n_states - 1),) for i in range(n_states)]
+        self.n_frames = prod(map(len, self.choices))
+        self.n_models = self.full.bit_length() * self.n_frames
+        # Modal subformulas over modality-free bodies, keyed by coalition,
+        # negation and body: instances of one scheme share most of them.
+        self.memo: dict = {}
+
+    def frames(self) -> Iterator[tuple[int, ...]]:
+        """Every frame, in enumeration order."""
+        return product(*self.choices)
+
+    def model(self, valuation: int, frame: int) -> CoalitionModel:
+        return block_model(self.bounds, self.n_states, self.sizes,
+                           valuation, frame)
+
+
+_block = lru_cache(maxsize=256)(Block)
+
+
+def blocks(b: Bounds, min_agents: int = 1) -> Iterator[Block]:
+    """The blocks of b in order, skipping narrow ones; each is built
+    when reached, so an early stop skips the reach sets of the rest."""
+    for key in size_blocks(b):
+        if key[0] >= min_agents:
+            yield _block(b, *key)
+
+
+# ---------------------------------------------------------------------------
+# A compiled formula binds to a block and returns its lane vectors when no
+# modality lies below, and otherwise a function from frames to them.
+
+_OPS = {
+    Not: lambda top, x: tuple(map(xor, top, x)),
+    And: lambda top, x, y: tuple(map(and_, x, y)),
+    Or: lambda top, x, y: tuple(map(or_, x, y)),
+    Implies: lambda top, x, y: tuple(map(or_, map(xor, top, x), y)),
+    Iff: lambda top, x, y: tuple(map(xor, top, map(xor, x, y))),
+}
+
+
+def _connective(op, *kids):
+    def bind(block):
+        top = block.top
+        xs = [kid(block) for kid in kids]
+        if all(type(x) is tuple for x in xs):
+            return op(top, *xs)
+        fs = [(lambda fr, x=x: x) if type(x) is tuple else x for x in xs]
+        if len(fs) == 1:
+            f0, = fs
+            return lambda fr: op(top, f0(fr))
+        f0, f1 = fs
+        return lambda fr: op(top, f0(fr), f1(fr))
+    return bind
+
+
+def _modal(kid, c: int, negate: bool):
+    def bind(block):
+        x, column = kid(block), block.columns[c]
+        flip = block.full if negate else 0
+        if type(x) is not tuple:
+            return lambda fr: _flip_reach(flip, x(fr), column, fr)
+        key = c, negate, x      # the value at s depends on s's row only
+        value = block.memo.get(key)
+        if value is None:
+            if len(block.memo) > 4096:
+                block.memo.clear()
+            get = [flip ^ _reach(x, sets) for sets in column].__getitem__
+            value = block.memo[key] = lambda fr: tuple(map(get, fr))
+        return value
+    return bind
+
+
+def _flip_reach(flip, g, column, fr):
+    return tuple([flip ^ _reach(g, column[r]) for r in fr])
 
 
 def compile_formula(f: Formula, props: tuple[str, ...]):
-    """Compile f to a lambda (table, full, prop_masks) -> extension mask.
-
-    The compiled form is valid for any ModelContext built with the same
-    proposition list and at least max_agent(f) agents.
-    """
+    """Compile f for the blocks of any space over `props` that have at
+    least max_agent(f) agents."""
     index = {p: i for i, p in enumerate(props)}
 
-    def emit(g: Formula) -> str:
-        if isinstance(g, Atom):
+    def emit(g: Formula):
+        kind = type(g)
+        if kind is Atom:
             if g.name not in index:
                 raise ValueError(f"atom {g.name!r} not among props {props}")
-            return f"pm[{index[g.name]}]"
-        if isinstance(g, Top):
-            return "full"
-        if isinstance(g, Bot):
-            return "0"
-        if isinstance(g, Not):
-            return f"(full^{emit(g.body)})"
-        if isinstance(g, And):
-            return f"({emit(g.left)}&{emit(g.right)})"
-        if isinstance(g, Or):
-            return f"({emit(g.left)}|{emit(g.right)})"
-        if isinstance(g, Implies):
-            return f"((full^{emit(g.left)})|{emit(g.right)})"
-        if isinstance(g, Iff):
-            return f"(full^({emit(g.left)}^{emit(g.right)}))"
-        if isinstance(g, Ability):
-            return f"t[{g.coalition.bitmask()}][{emit(g.body)}]"
-        if isinstance(g, Inability):
-            return f"(full^t[{g.coalition.bitmask()}][{emit(g.body)}])"
+            j = index[g.name]
+            return lambda block: block.atoms[j]
+        if kind is Top:
+            return lambda block: block.top
+        if kind is Bot:
+            return lambda block: block.bot
+        if kind is Ability or kind is Inability:
+            return _modal(emit(g.body), g.coalition.bitmask(),
+                          kind is Inability)
+        if kind is Not:
+            return _connective(_OPS[Not], emit(g.body))
+        if kind in _OPS:
+            return _connective(_OPS[kind], emit(g.left), emit(g.right))
         raise TypeError(f"not a formula: {g!r}")
 
-    return eval(f"lambda t, full, pm: {emit(f)}")
+    return emit(f)
 
 
-@lru_cache(maxsize=None)
-def build_space(b: Bounds) -> tuple[ModelContext, ...]:
-    """All models within b, each wrapped in its evaluation context.
-
-    Cached per Bounds value: the same space is typically scanned by
-    thousands of formulas in a row.
-    """
-    return tuple(ModelContext(m, b.props) for m in enumerate_models(b))
+def first_failure(compiled, block: Block) -> tuple[int, int, int] | None:
+    """(valuation, frame, state) of the block's first failing model: the
+    lowest failing lane, its earliest frame, and the lowest state."""
+    value, frames = compiled(block), block.frames()
+    if type(value) is tuple:    # the same in every frame: check one
+        value, frames = (lambda fr, got=value: got), [None]
+    best, lanes, top = None, block.full, block.top
+    for frame, fr in enumerate(frames):
+        got = value(fr)
+        if got != top:
+            miss = lanes & ~reduce(and_, got)
+            if miss:
+                best, lanes = (got, frame), (miss & -miss) - 1
+                if not lanes:
+                    break
+    if best is None:
+        return None
+    (got, frame), bit = best, lanes + 1
+    return (bit.bit_length() - 1, frame,
+            next(i for i, x in enumerate(got) if not x & bit))

@@ -52,36 +52,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("parse", help="echo a formula's AST and "
                                       "canonical form")
     p.add_argument("formula")
-    p.add_argument("--structured", action="store_true",
-                   help="key-value output")
 
     p = subs.add_parser("check", help="evaluate a formula in a model file")
     p.add_argument("model", help="path to a .clm model file")
     p.add_argument("formula")
     p.add_argument("--state", metavar="ID",
                    help="state to evaluate at (default: the model's init)")
-    p.add_argument("--structured", action="store_true",
-                   help="key-value output")
 
     p = subs.add_parser("translate", help="rewrite inability as negated "
                                           "ability")
     p.add_argument("formula")
-    p.add_argument("--structured", action="store_true",
-                   help="key-value output")
 
     p = subs.add_parser("countermodel", help="search for a model falsifying "
                                              "a formula")
     p.add_argument("formula")
     _bounds_arguments(p)
-    p.add_argument("--structured", action="store_true",
-                   help="key-value output")
 
     p = subs.add_parser("laws", help="run the structural-law catalog")
     p.add_argument("--law", metavar="ID", help="run a single catalog entry")
     _bounds_arguments(p)
-    p.add_argument("--structured", action="store_true",
-                   help="key-value output")
 
+    for p in subs.choices.values():
+        p.add_argument("--structured", action="store_true",
+                       help="key-value output")
     return parser
 
 
@@ -101,20 +94,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
     state = args.state if args.state is not None else m.initial
 
+    details: list[str] = []
     if isinstance(f, Ability):
         result, witness = check_ability(m, state, f.coalition, f.body)
-        print(f"result: {'true' if result else 'false'}")
         if result:
-            print(f"witness: {witness.action}")
+            details.append(f"witness: {witness.action}")
     elif isinstance(f, Inability):
         result, witness = check_inability(m, state, f.coalition, f.body)
-        print(f"result: {'true' if result else 'false'}")
         if result:
-            for own, counter in witness.counters.items():
-                print(f"counter: {own} => {counter}")
+            details += [f"counter: {own} => {counter}"
+                        for own, counter in witness.counters.items()]
     else:
         result = satisfies(m, state, f)
-        print(f"result: {'true' if result else 'false'}")
+    print(f"result: {'true' if result else 'false'}", *details, sep="\n")
     return 0 if result else 1
 
 
@@ -184,17 +176,14 @@ def cmd_laws(args: argparse.Namespace) -> int:
                args.all_states)
     report = run_laws(b, chosen)
     if args.structured:
-        blocks = []
-        for r in report.results:
-            blocks.append("\n".join([
-                f"law: {r.law_id}",
-                f"expected: {r.expected}",
-                f"observed: {r.observed}",
-                f"instantiations: {r.instantiations}",
-                f"models_checked: {r.models_checked}",
-                f"result: {'PASS' if r.passed else 'FAIL'}",
-            ]))
-        print("\n\n".join(blocks))
+        print("\n\n".join("\n".join([
+            f"law: {r.law_id}",
+            f"expected: {r.expected}",
+            f"observed: {r.observed}",
+            f"instantiations: {r.instantiations}",
+            f"models_checked: {r.models_checked}",
+            f"result: {'PASS' if r.passed else 'FAIL'}",
+        ]) for r in report.results))
     else:
         print(report.render())
         if args.law is not None:

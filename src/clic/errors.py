@@ -81,7 +81,7 @@ class ProfilesNotPartition(ClicError):
     """Two joint actions do not split the agent set into disjoint halves."""
 
 
-class BoundsTooSmall(ClicError):
+class BoundsTooSmall(ClicError, ValueError):
     """The requested check has an empty or inadequate search space."""
 
 

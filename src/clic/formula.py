@@ -78,37 +78,36 @@ class Coalition:
 
 
 class Formula:
-    """Base class of all formula nodes."""
+    """Base class of all formula nodes; reprs read like Not(Atom(p))."""
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        args = [getattr(self, name) for name in self.__dataclass_fields__]
+        if not args:
+            return type(self).__name__
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            a if type(a) is str else repr(a) for a in args))
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Atom(Formula):
     name: str
 
-    def __repr__(self) -> str:
-        return f"Atom({self.name})"
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Top(Formula):
-    def __repr__(self) -> str:
-        return "Top"
+    """The constant true."""
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Bot(Formula):
-    def __repr__(self) -> str:
-        return "Bot"
+    """The constant false."""
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Not(Formula):
     body: Formula
-
-    def __repr__(self) -> str:
-        return f"Not({self.body!r})"
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -116,17 +115,11 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    def __repr__(self) -> str:
-        return f"And({self.left!r}, {self.right!r})"
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
-
-    def __repr__(self) -> str:
-        return f"Or({self.left!r}, {self.right!r})"
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -134,17 +127,11 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
-    def __repr__(self) -> str:
-        return f"Implies({self.left!r}, {self.right!r})"
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula
-
-    def __repr__(self) -> str:
-        return f"Iff({self.left!r}, {self.right!r})"
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -154,9 +141,6 @@ class Ability(Formula):
     coalition: Coalition
     body: Formula
 
-    def __repr__(self) -> str:
-        return f"Ability({self.coalition!r}, {self.body!r})"
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Inability(Formula):
@@ -164,9 +148,6 @@ class Inability(Formula):
 
     coalition: Coalition
     body: Formula
-
-    def __repr__(self) -> str:
-        return f"Inability({self.coalition!r}, {self.body!r})"
 
 
 def ast_dump(f: Formula) -> str:
@@ -353,48 +334,34 @@ def parse_formula(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Structural measures
 
+def walk(f: Formula) -> Iterator[tuple[Formula, int]]:
+    """Every node of f, pre-order, with the number of E/I operators
+    above it; an explicit stack lets any depth through."""
+    stack = [(f, 0)]
+    while stack:
+        g, depth = stack.pop()
+        yield g, depth
+        if isinstance(g, (Not, Ability, Inability)):
+            stack.append((g.body, depth + (type(g) is not Not)))
+        elif isinstance(g, (And, Or, Implies, Iff)):
+            stack += [(g.right, depth), (g.left, depth)]
+
+
 def modal_depth(f: Formula) -> int:
     """Deepest nesting of E/I operators; 0 for purely Boolean formulas."""
-    cls = type(f)
-    if cls in (Atom, Top, Bot):
-        return 0
-    if cls is Not:
-        return modal_depth(f.body)
-    if cls in (And, Or, Implies, Iff):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    return 1 + modal_depth(f.body)
+    return max(depth + isinstance(g, (Ability, Inability))
+               for g, depth in walk(f))
 
 
 def propositions_of(f: Formula) -> tuple[str, ...]:
     """All atoms occurring in f, sorted and without duplicates."""
-    names: set[str] = set()
-    _collect_atoms(f, names)
-    return tuple(sorted(names))
-
-
-def _collect_atoms(f: Formula, names: set[str]) -> None:
-    cls = type(f)
-    if cls is Atom:
-        names.add(f.name)
-    elif cls is Not:
-        _collect_atoms(f.body, names)
-    elif cls in (And, Or, Implies, Iff):
-        _collect_atoms(f.left, names)
-        _collect_atoms(f.right, names)
-    elif cls in (Ability, Inability):
-        _collect_atoms(f.body, names)
+    return tuple(sorted({g.name for g, _ in walk(f) if type(g) is Atom}))
 
 
 def max_agent(f: Formula) -> int:
     """Largest agent index named by any coalition in f, 0 if none."""
-    cls = type(f)
-    if cls in (Atom, Top, Bot):
-        return 0
-    if cls is Not:
-        return max_agent(f.body)
-    if cls in (And, Or, Implies, Iff):
-        return max(max_agent(f.left), max_agent(f.right))
-    return max(f.coalition.max_agent(), max_agent(f.body))
+    return max((g.coalition.max_agent() for g, _ in walk(f)
+                if isinstance(g, (Ability, Inability))), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, product
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
@@ -24,7 +24,7 @@ from .formula import (
 )
 from .model import Bounds, CoalitionModel, parse_model
 from .semantics import satisfies
-from .validity import Counterexample, _search, default_bounds
+from .validity import Counterexample, default_bounds, find_countermodel
 
 __all__ = [
     "Fixture", "Law", "LawReport", "LawResult",
@@ -358,6 +358,9 @@ def _formula_pool(atoms: Sequence[str]) -> list[Formula]:
     return pool
 
 
+_ARITY = {"none": 0, "one": 1, "two": 2}
+
+
 def instantiations(law: Law, n_agents: int,
                    atoms: Sequence[str]) -> Iterator[Formula]:
     """All concrete instances of the scheme, coalition-major order.
@@ -372,23 +375,14 @@ def instantiations(law: Law, n_agents: int,
         raise ValueError("need at least one agent")
     subsets = [Coalition.from_bitmask(mask) for mask in range(1 << n_agents)]
     pool = _formula_pool(atoms)
-    if law.formula_mode == "none":
-        fss = [()]
-    elif law.formula_mode == "one":
-        fss = [(f,) for f in pool]
-    elif law.formula_mode == "two":
-        fss = [(f, g) for f in pool for g in pool]
-    elif law.formula_mode == "entailment":
+    if law.formula_mode == "entailment":
         fss = [(f, Or(f, g)) for f in pool for g in pool]
         fss += [(And(f, g), f) for f in pool for g in pool]
+    elif law.formula_mode in _ARITY:
+        fss = list(product(pool, repeat=_ARITY[law.formula_mode]))
     else:
         raise ValueError(f"unknown formula mode {law.formula_mode!r}")
-    if law.coalition_arity == 0:
-        css = [()]
-    elif law.coalition_arity == 1:
-        css = [(c,) for c in subsets]
-    else:
-        css = [(c, d) for c in subsets for d in subsets]
+    css = product(subsets, repeat=law.coalition_arity)
     for cs in css:
         if law.side_condition is not None and not law.side_condition(cs):
             continue
@@ -458,11 +452,8 @@ class LawReport:
                          "PASS" if r.passed else "FAIL"))
         widths = [max(len(row[i]) for row in rows)
                   for i in range(len(header))]
-        lines = []
-        for row in rows:
-            lines.append("  ".join(cell.ljust(width)
-                                   for cell, width in zip(row, widths))
-                         .rstrip())
+        lines = ["  ".join(cell.ljust(width) for cell, width
+                           in zip(row, widths)).rstrip() for row in rows]
         lines.insert(1, "  ".join("-" * width for width in widths))
         return "\n".join(lines)
 
@@ -477,65 +468,35 @@ def _candidates(law: Law, n_agents: int,
     yield from instantiations(law, n_agents, atoms)
 
 
+# Per expectation: what a found countermodel shows, what its absence shows.
+_OBSERVED = {"valid": ("invalid", "valid"),
+             "invalid": ("invalid", "valid"),
+             "satisfiable": ("satisfiable", "unsatisfiable")}
+
+
 def _run_law(law: Law, b: Bounds) -> LawResult:
     start = perf_counter()
-    count = 0
-    models_total = 0
-    evidence = None
-    instance = None
-    fixture_ok = None
-
-    if law.expected == "valid":
-        observed = "valid"
-        for f in instantiations(law, b.max_agents, b.props):
-            count += 1
-            verdict, models, _ = _search(f, b)
-            models_total += models
-            if isinstance(verdict, Counterexample):
-                observed = "invalid"
-                evidence = verdict
-                instance = f
-                break
-        passed = observed == "valid"
-    elif law.expected == "invalid":
-        observed = "valid"
-        for f in _candidates(law, b.max_agents, b.props):
-            count += 1
-            # The pinned fixture instance may mention more agents than
-            # the bounds allow; skip it rather than abort the row.
-            try:
-                verdict, models, _ = _search(f, b)
-            except BoundsInsufficientForFormula:
-                continue
-            models_total += models
-            if isinstance(verdict, Counterexample):
-                observed = "invalid"
-                evidence = verdict
-                instance = f
-                break
-        if law.fixture is not None:
-            fixture_ok = replay_fixture(law)
-        passed = observed == "invalid" and fixture_ok is not False
-    elif law.expected == "satisfiable":
-        observed = "unsatisfiable"
-        for f in _candidates(law, b.max_agents, b.props):
-            count += 1
-            try:
-                verdict, models, _ = _search(Not(f), b)
-            except BoundsInsufficientForFormula:
-                continue
-            models_total += models
-            if isinstance(verdict, Counterexample):
-                observed = "satisfiable"
-                evidence = verdict
-                instance = f
-                break
-        if law.fixture is not None:
-            fixture_ok = replay_fixture(law)
-        passed = observed == "satisfiable" and fixture_ok is not False
-    else:
+    if law.expected not in _OBSERVED:
         raise ValueError(f"unknown expectation {law.expected!r}")
-
+    found, observed = _OBSERVED[law.expected]
+    count = models_total = 0
+    evidence = instance = None
+    for f in _candidates(law, b.max_agents, b.props):
+        count += 1
+        # A model of f is a countermodel of !f.  The pinned fixture
+        # instance may mention more agents than the bounds allow; skip
+        # it rather than abort the row.
+        try:
+            verdict = find_countermodel(
+                Not(f) if law.expected == "satisfiable" else f, b)
+        except BoundsInsufficientForFormula:
+            continue
+        models_total += verdict.models_checked
+        if isinstance(verdict, Counterexample):
+            observed, evidence, instance = found, verdict, f
+            break
+    fixture_ok = None if law.fixture is None else replay_fixture(law)
+    passed = observed == law.expected and fixture_ok is not False
     return LawResult(law.id, law.expected, observed, count, models_total,
                      passed, evidence, instance, fixture_ok,
                      perf_counter() - start)

@@ -27,9 +27,9 @@ from itertools import product
 from typing import Iterator, Mapping
 
 from .errors import (
-    CoalitionOutOfRange, MissingActions, MissingInit, ModelFormatError,
-    PartialOutcome, ProfilesNotPartition, UnknownAction, UnknownAgent,
-    UnknownState,
+    BoundsTooSmall, CoalitionOutOfRange, MissingActions, MissingInit,
+    ModelFormatError, PartialOutcome, ProfilesNotPartition, UnknownAction,
+    UnknownAgent, UnknownState,
 )
 from .formula import Coalition
 
@@ -54,15 +54,6 @@ class ActionProfile:
             raise ValueError(
                 f"choices {choices} do not cover coalition {self.coalition}")
 
-    def action_of(self, agent: int) -> str:
-        for a, act in self.choices:
-            if a == agent:
-                return act
-        raise KeyError(agent)
-
-    def as_dict(self) -> dict[int, str]:
-        return dict(self.choices)
-
     def __str__(self) -> str:
         if not self.choices:
             return "(empty)"
@@ -82,7 +73,7 @@ class Bounds:
     def __post_init__(self) -> None:
         if min(self.max_agents, self.max_states,
                self.max_actions_per_agent) < 1:
-            raise ValueError("all bounds must be >= 1")
+            raise BoundsTooSmall("all bounds must be >= 1")
         object.__setattr__(self, "props", tuple(sorted(set(self.props))))
 
 
@@ -103,14 +94,6 @@ class CoalitionModel:
     outcome: Mapping[tuple[str, tuple[str, ...]], str]
     valuation: Mapping[str, frozenset[str]]
     initial: str
-
-    def full_profiles(self) -> list[tuple[str, ...]]:
-        """All complete action profiles, agent 1 varying slowest."""
-        return list(product(*self.actions))
-
-    def holds_at(self, prop: str, state: str) -> bool:
-        states = self.valuation.get(prop)
-        return states is not None and state in states
 
 
 def complement(m: CoalitionModel, c: Coalition) -> Coalition:
@@ -162,20 +145,20 @@ def apply(m: CoalitionModel, state: str, p1: ActionProfile,
 
 def parse_model(text: str) -> CoalitionModel:
     """Parse and fully validate a model file."""
-    records: list[tuple[int, list[str]]] = []
+    # Records by directive, each list in line order.
+    records: dict[str, list[tuple[int, list[str]]]] = {
+        kind: [] for kind in ("agents", "state", "init", "actions", "prop",
+                              "outcome", "default")}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            records.append((lineno, line.split()))
-
-    known = {"agents", "state", "init", "actions", "prop", "outcome",
-             "default"}
-    for lineno, tokens in records:
-        if tokens[0] not in known:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if tokens[0] not in records:
             raise ModelFormatError(f"unknown directive {tokens[0]!r}", lineno)
+        records[tokens[0]].append((lineno, tokens))
 
     def only(kind: str) -> tuple[int, list[str]] | None:
-        found = [(ln, t) for ln, t in records if t[0] == kind]
+        found = records[kind]
         if len(found) > 1:
             raise ModelFormatError(f"duplicate {kind!r} line", found[1][0])
         return found[0] if found else None
@@ -189,9 +172,7 @@ def parse_model(text: str) -> CoalitionModel:
     n = int(tokens[1])
 
     states: list[str] = []
-    for lineno, tokens in records:
-        if tokens[0] != "state":
-            continue
+    for lineno, tokens in records["state"]:
         if len(tokens) != 2:
             raise ModelFormatError("malformed 'state' line", lineno)
         if tokens[1] in states:
@@ -216,9 +197,7 @@ def parse_model(text: str) -> CoalitionModel:
     initial = check_state(tokens[1], lineno)
 
     actions: dict[int, tuple[str, ...]] = {}
-    for lineno, tokens in records:
-        if tokens[0] != "actions":
-            continue
+    for lineno, tokens in records["actions"]:
         if len(tokens) < 3 or not tokens[1].isdigit():
             raise ModelFormatError("malformed 'actions' line", lineno)
         agent = int(tokens[1])
@@ -238,9 +217,7 @@ def parse_model(text: str) -> CoalitionModel:
     action_tuples = tuple(actions[a] for a in range(1, n + 1))
 
     valuation: dict[str, frozenset[str]] = {}
-    for lineno, tokens in records:
-        if tokens[0] != "prop":
-            continue
+    for lineno, tokens in records["prop"]:
         if len(tokens) < 2:
             raise ModelFormatError("malformed 'prop' line", lineno)
         name = tokens[1]
@@ -250,9 +227,7 @@ def parse_model(text: str) -> CoalitionModel:
                                     for s in tokens[2:])
 
     explicit: dict[tuple[str, tuple[str, ...]], str] = {}
-    for lineno, tokens in records:
-        if tokens[0] != "outcome":
-            continue
+    for lineno, tokens in records["outcome"]:
         if len(tokens) != n + 4 or tokens[n + 2] != "->":
             raise ModelFormatError("malformed 'outcome' line", lineno)
         src = check_state(tokens[1], lineno)
@@ -268,9 +243,7 @@ def parse_model(text: str) -> CoalitionModel:
         explicit[(src, profile)] = check_state(tokens[n + 3], lineno)
 
     defaults: dict[str, str] = {}
-    for lineno, tokens in records:
-        if tokens[0] != "default":
-            continue
+    for lineno, tokens in records["default"]:
         if len(tokens) != 4 or tokens[2] != "->":
             raise ModelFormatError("malformed 'default' line", lineno)
         src = check_state(tokens[1], lineno)
@@ -313,6 +286,29 @@ def print_model(m: CoalitionModel) -> str:
 # ---------------------------------------------------------------------------
 # Enumeration
 
+def size_blocks(b: Bounds) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(agents, states, action count per agent) in enumeration order."""
+    for n in range(1, b.max_agents + 1):
+        for n_states in range(1, b.max_states + 1):
+            for sizes in product(range(1, b.max_actions_per_agent + 1),
+                                 repeat=n):
+                yield n, n_states, sizes
+
+
+def _layout(n_states: int, sizes: tuple[int, ...], vary_all_states: bool):
+    """States, actions, state sets by bitmask, varying outcome slots and
+    fixed outcomes of one size block."""
+    states = tuple(f"s{k}" for k in range(1, n_states + 1))
+    actions = tuple(tuple(f"a{j}" for j in range(1, m + 1)) for m in sizes)
+    subsets = [frozenset(s for i, s in enumerate(states) if mask >> i & 1)
+               for mask in range(1 << n_states)]
+    full = list(product(*actions))
+    varied = n_states if vary_all_states else 1
+    return (states, actions, subsets,
+            [(s, prof) for s in states[:varied] for prof in full],
+            {(s, prof): s for s in states[varied:] for prof in full})
+
+
 def enumerate_models(b: Bounds) -> Iterator[CoalitionModel]:
     """All models within the bounds, canonically named and ordered.
 
@@ -325,28 +321,30 @@ def enumerate_models(b: Bounds) -> Iterator[CoalitionModel]:
     all profiles, which is enough for formulas of modal depth <= 1:
     their evaluation at the initial state never reads other outcomes.
     """
-    for n in range(1, b.max_agents + 1):
-        for n_states in range(1, b.max_states + 1):
-            states = tuple(f"s{k}" for k in range(1, n_states + 1))
-            subsets = [frozenset(s for i, s in enumerate(states)
-                                 if mask >> i & 1)
-                       for mask in range(1 << n_states)]
-            for sizes in product(range(1, b.max_actions_per_agent + 1),
-                                 repeat=n):
-                actions = tuple(tuple(f"a{j}" for j in range(1, m + 1))
-                                for m in sizes)
-                full = list(product(*actions))
-                if b.vary_all_states:
-                    slots = [(s, prof) for s in states for prof in full]
-                    fixed: dict[tuple[str, tuple[str, ...]], str] = {}
-                else:
-                    slots = [(states[0], prof) for prof in full]
-                    fixed = {(s, prof): s
-                             for s in states[1:] for prof in full}
-                for chosen in product(*([subsets] * len(b.props))):
-                    valuation = dict(zip(b.props, chosen))
-                    for targets in product(states, repeat=len(slots)):
-                        outcome = dict(fixed)
-                        outcome.update(zip(slots, targets))
-                        yield CoalitionModel(n, states, actions, outcome,
-                                             valuation, states[0])
+    for n, n_states, sizes in size_blocks(b):
+        states, actions, subsets, slots, fixed = _layout(
+            n_states, sizes, b.vary_all_states)
+        for chosen in product(*([subsets] * len(b.props))):
+            valuation = dict(zip(b.props, chosen))
+            for targets in product(states, repeat=len(slots)):
+                outcome = dict(fixed)
+                outcome.update(zip(slots, targets))
+                yield CoalitionModel(n, states, actions, outcome,
+                                     valuation, states[0])
+
+
+def block_model(b: Bounds, n_states: int, sizes: tuple[int, ...],
+                valuation: int, frame: int) -> CoalitionModel:
+    """The model enumerate_models yields as number valuation * frames +
+    frame of a size block: the valuation-th valuation with the frame-th
+    outcome assignment."""
+    states, actions, subsets, slots, fixed = _layout(
+        n_states, sizes, b.vary_all_states)
+    outcome = dict(fixed)
+    outcome.update(zip(slots, [states[frame // n_states ** i % n_states]
+                               for i in reversed(range(len(slots)))]))
+    width, k = len(subsets), len(b.props)
+    return CoalitionModel(
+        len(sizes), states, actions, outcome,
+        {p: subsets[valuation // width ** (k - 1 - j) % width]
+         for j, p in enumerate(b.props)}, states[0])

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._eval import build_space, compile_formula
+from ._eval import blocks, compile_formula
 from .errors import BoundsInsufficientForFormula, BoundsTooSmall
 from .formula import (
     Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
-    enumerate_formulas, max_agent,
+    enumerate_formulas, max_agent, walk,
 )
 from .model import Bounds, CoalitionModel
 from .semantics import extension
@@ -42,17 +42,7 @@ def translate(f: Formula) -> Formula:
 
 def is_cl_fragment(f: Formula) -> bool:
     """Whether f avoids the inability operator entirely."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return True
-    if isinstance(f, Not):
-        return is_cl_fragment(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return is_cl_fragment(f.left) and is_cl_fragment(f.right)
-    if isinstance(f, Ability):
-        return is_cl_fragment(f.body)
-    if isinstance(f, Inability):
-        return False
-    raise TypeError(f"not a formula: {f!r}")
+    return not any(type(g) is Inability for g, _ in walk(f))
 
 
 @dataclass(frozen=True)
@@ -75,13 +65,16 @@ def check_truth_preservation(b: Bounds,
     recorded as a violation (which would indict this implementation,
     not the translation).  One check = one (formula, model, state)
     triple; models with fewer agents than a formula mentions are
-    skipped for that formula.
+    skipped for that formula.  Violations are listed in enumeration
+    order: by model, then formula, then state.
 
     The original formula runs through the reference satisfaction
-    clauses and the translated one through the table-driven engine, so
+    clauses and the translated one through the frame-major engine, so
     agreement also cross-checks the two evaluators against each other.
     Comparing both sides on the same engine would prove nothing: the
-    table engine already evaluates I[C] as the negation of E[C].
+    engine already evaluates I[C] as the complement of E[C].  Reference
+    results are packed into the engine's lane vectors, one bit per
+    valuation, and compared once per frame and formula.
     """
     if max_formula_depth < 0:
         raise BoundsTooSmall("no formulas below depth 0")
@@ -89,37 +82,35 @@ def check_truth_preservation(b: Bounds,
         raise BoundsInsufficientForFormula(
             "depth-2 formulas can nest modalities; the model grid needs "
             "vary_all_states=True")
-    space = build_space(b)
-    if not space:
-        raise BoundsTooSmall("no models within bounds")
 
     jobs = [(f, max_agent(f), compile_formula(translate(f), b.props))
             for f in enumerate_formulas(b.props, b.max_agents,
                                         max_formula_depth)]
-    total = 0
-    violations: list[tuple[Formula, CoalitionModel, str]] = []
-    # Models on the outside: one shared reference memo then covers every
-    # subformula the stream has in common, which is most of it.
-    for ctx in space:
-        m = ctx.model
-        n = m.n_agents
-        memo: dict[Formula, frozenset[str]] = {}
-        states = list(enumerate(m.states))
-        for f, need, translated in jobs:
-            if n < need:
-                continue
-            total += ctx.n_states
-            ref = extension(m, f, memo)
-            got = 0
-            for i, s in states:
-                if s in ref:
-                    got |= 1 << i
-            want = translated(ctx.table, ctx.full, ctx.prop_masks)
-            if got != want:
-                diff = got ^ want
-                while diff:
-                    bit = diff & -diff
-                    violations.append((f, m, m.states[bit.bit_length() - 1]))
-                    diff ^= bit
-    return PreservationReport(total, len(jobs), len(space),
-                              tuple(violations))
+    total, found, space = 0, [], list(blocks(b))
+    for number, block in enumerate(space):
+        bound = [(k, f, c(block)) for k, (f, need, c) in enumerate(jobs)
+                 if need <= block.n_agents]
+        total += len(bound) * block.n_models * block.n_states
+        lanes = range(block.full.bit_length())
+        for frame, fr in enumerate(block.frames()):
+            models = [block.model(v, frame) for v in lanes]
+            states = list(enumerate(models[0].states))
+            # One reference memo per model covers every subformula the
+            # stream has in common, which is most of it.
+            memos: list[dict] = [{} for _ in lanes]
+            for k, f, want in bound:
+                want = want if type(want) is tuple else want(fr)
+                got = [0] * len(states)
+                for v, m in enumerate(models):
+                    ref = extension(m, f, memos[v])
+                    for i, s in states:
+                        if s in ref:
+                            got[i] |= 1 << v
+                if tuple(got) != want:
+                    found += [((number, v, frame, k, i), (f, models[v], s))
+                              for i, s in states for v in lanes
+                              if (got[i] ^ want[i]) >> v & 1]
+    found.sort(key=lambda item: item[0])
+    return PreservationReport(total, len(jobs),
+                              sum(block.n_models for block in space),
+                              tuple(v for _, v in found))

@@ -10,9 +10,10 @@ strongest claim made anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 
-from ._eval import build_space, compile_formula
+from ._eval import blocks, compile_formula, first_failure
 from .errors import BoundsInsufficientForFormula
 from .formula import Formula, Iff, max_agent, modal_depth, propositions_of
 from .model import Bounds, CoalitionModel
@@ -47,11 +48,14 @@ class Counterexample:
 
     `size` is only set by minimal_countermodel: the (states, actions,
     agents) bound tuple at which the search first succeeded.
+    `models_checked` counts the models the search visited, this one
+    included.
     """
 
     model: CoalitionModel
     state: str
     size: tuple[int, int, int] | None = None
+    models_checked: int = 0
 
 
 @dataclass(frozen=True)
@@ -89,25 +93,26 @@ def _search(f: Formula, b: Bounds) -> tuple[Verdict, int, int]:
     skipped without being counted.
     """
     _require_searchable(f, b)
-    need = max_agent(f)
     compiled = compile_formula(f, b.props)
-    models_checked = 0
-    states_checked = 0
-    for ctx in build_space(b):
-        if ctx.model.n_agents < need:
+    models_checked = states_checked = 0
+    for block in blocks(b, max_agent(f)):
+        hit = first_failure(compiled, block)
+        valuation, frame, index = hit or (block.full.bit_length(), -1, -1)
+        # Models up to number valuation * frames + frame were checked:
+        # with no failure, the whole block.
+        checked = valuation * block.n_frames + frame + 1
+        models_checked += checked
+        states_checked += checked * block.n_states
+        if hit is None:
             continue
-        models_checked += 1
-        states_checked += ctx.n_states
-        got = compiled(ctx.table, ctx.full, ctx.prop_masks)
-        if got != ctx.full:
-            miss = got ^ ctx.full
-            state = ctx.model.states[(miss & -miss).bit_length() - 1]
-            if satisfies(ctx.model, state, f):
-                raise RuntimeError(
-                    "evaluation engines disagree on "
-                    f"{f!r} at {state!r}; this is a bug")
-            return (Counterexample(ctx.model, state),
-                    models_checked, states_checked)
+        m = block.model(valuation, frame)
+        state = m.states[index]
+        if satisfies(m, state, f):
+            raise RuntimeError(
+                "evaluation engines disagree on "
+                f"{f!r} at {state!r}; this is a bug")
+        return (Counterexample(m, state, None, models_checked),
+                models_checked, states_checked)
     return (NoCounterexampleWithinBounds(b, models_checked, states_checked),
             models_checked, states_checked)
 
@@ -139,20 +144,18 @@ def minimal_countermodel(f: Formula, b: Bounds) -> Verdict:
     """
     last_error: BoundsInsufficientForFormula | None = None
     verdict: Verdict | None = None
-    for n_states in range(1, b.max_states + 1):
-        for n_actions in range(1, b.max_actions_per_agent + 1):
-            for n_agents in range(1, b.max_agents + 1):
-                sub = Bounds(n_agents, n_states, n_actions, b.props,
-                             b.vary_all_states)
-                try:
-                    verdict = find_countermodel(f, sub)
-                except BoundsInsufficientForFormula as err:
-                    last_error = err
-                    continue
-                if isinstance(verdict, Counterexample):
-                    return Counterexample(
-                        verdict.model, verdict.state,
-                        (n_states, n_actions, n_agents))
+    for size in product(range(1, b.max_states + 1),
+                        range(1, b.max_actions_per_agent + 1),
+                        range(1, b.max_agents + 1)):
+        n_states, n_actions, n_agents = size
+        try:
+            verdict = find_countermodel(f, Bounds(
+                n_agents, n_states, n_actions, b.props, b.vary_all_states))
+        except BoundsInsufficientForFormula as err:
+            last_error = err
+            continue
+        if isinstance(verdict, Counterexample):
+            return replace(verdict, size=size)
     if verdict is None:
         assert last_error is not None
         raise last_error

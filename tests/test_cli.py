@@ -245,3 +245,14 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "E[1] p"
+
+
+@pytest.mark.parametrize("argv", [
+    ("countermodel", "E[1]p", "--agents", "0"),
+    ("laws", "--states", "0"),
+])
+def test_zero_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "bounds" in err

@@ -1,13 +1,34 @@
-"""Bitmask evaluator against the reference semantics."""
+"""Frame-major engine against the reference semantics."""
+
+from itertools import product
 
 from hypothesis import assume, given, settings, strategies as st
 
-from clic import Bounds, enumerate_formulas, extension, max_agent
-from clic._eval import ModelContext, compile_formula, build_space
+from clic import (
+    Bounds, Coalition, Counterexample, Not, apply, complement, default_bounds,
+    enumerate_formulas, enumerate_models, extension, max_agent, modal_depth,
+    profiles, propositions_of,
+)
+from clic._eval import _columns, blocks, compile_formula
+from clic.validity import _search
 
 PROPS = ("p", "q")
-MODELS = build_space(Bounds(2, 2, 2, PROPS, vary_all_states=True))
+SPACE = Bounds(2, 2, 2, PROPS, vary_all_states=True)
 FORMULAS = list(enumerate_formulas(PROPS, 2, 2))
+
+
+def _indexed(b):
+    """(block, valuation, frame tuple, model) for every model of b."""
+    out = []
+    for block in blocks(b):
+        frames = list(block.frames())
+        for v in range(block.full.bit_length()):
+            for number, fr in enumerate(frames):
+                out.append((block, v, fr, block.model(v, number)))
+    return out
+
+
+MODELS = _indexed(SPACE)
 
 
 def bitmask(m, f):
@@ -15,21 +36,124 @@ def bitmask(m, f):
     return sum(1 << i for i, s in enumerate(m.states) if s in ext)
 
 
+def _row(m, s):
+    """Number of s's outcome row: its targets as base-|S| digits."""
+    row = 0
+    for prof in product(*m.actions):
+        row = row * len(m.states) + m.states.index(m.outcome[(s, prof)])
+    return row
+
+
+def test_blocks_rebuild_enumerate_models():
+    for b in (SPACE, default_bounds(), Bounds(1, 2, 3, (), True),
+              Bounds(3, 2, 1, ("p",))):
+        indexed = _indexed(b)
+        assert [m for *_, m in indexed] == list(enumerate_models(b))
+        for block, v, fr, m in indexed:
+            assert fr == tuple(_row(m, s) for s in m.states)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(MODELS), st.sampled_from(FORMULAS))
-def test_engines_agree(ctx, f):
-    assume(max_agent(f) <= ctx.model.n_agents)
-    fn = compile_formula(f, PROPS)
-    assert fn(ctx.table, ctx.full, ctx.prop_masks) == bitmask(ctx.model, f)
+def test_engines_agree(entry, f):
+    block, v, fr, m = entry
+    assume(max_agent(f) <= m.n_agents)
+    value = compile_formula(f, PROPS)(block)
+    if type(value) is not tuple:
+        value = value(fr)
+    got = sum((x >> v & 1) << i for i, x in enumerate(value))
+    assert got == bitmask(m, f)
 
 
-def test_space_is_cached():
-    assert build_space(Bounds(2, 2, 2, PROPS, vary_all_states=True)) is MODELS
+def test_row_cache_is_shared_per_bounds():
+    b = default_bounds()
+    first, again = list(blocks(b)), list(blocks(b))
+    assert all(x is y for x, y in zip(first, again))
+    # Reach sets depend on the state count and action sizes only, so
+    # blocks of different bounds share them.
+    other = next(x for x in blocks(Bounds(2, 3, 2, ("p",)))
+                 if x.sizes == (2, 2) and x.n_states == 3)
+    mine = next(x for x in first if x.sizes == (2, 2) and x.n_states == 3)
+    assert other.columns is mine.columns
+    # At default bounds the cache is a few hundred small tuples.
+    keys = {(x.n_states, x.sizes) for x in first}
+    assert sum(len(_columns(*key)) * len(_columns(*key)[0])
+               for key in keys) == 568
 
 
-def test_context_round_trip():
-    ctx = MODELS[0]
-    again = ModelContext(ctx.model, PROPS)
-    assert again.table == ctx.table
-    assert again.full == ctx.full
-    assert again.prop_masks == ctx.prop_masks
+def _minimal(sets):
+    sets = set(sets)
+    return sorted(s for s in sets if not any(o < s for o in sets))
+
+
+def test_reach_sets_match_joint_actions():
+    """Each row's minimal reach sets are those of the model's actions."""
+    for block, v, fr, m in MODELS:
+        if v:
+            continue        # reach sets do not depend on the valuation
+        for mask in range(1 << m.n_agents):
+            c = Coalition.from_bitmask(mask)
+            others = list(profiles(m, complement(m, c)))
+            for i, s in enumerate(m.states):
+                want = _minimal(
+                    frozenset(m.states.index(apply(m, s, pc, pd))
+                              for pd in others)
+                    for pc in profiles(m, c))
+                got = sorted(frozenset(r) for r in block.columns[mask][fr[i]])
+                assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Searches against a plain loop over enumerate_models
+
+ORACLE_BOUNDS = (
+    Bounds(2, 2, 1, PROPS, True),
+    Bounds(1, 2, 2, ("p",), True),
+    Bounds(2, 3, 1, ("p",)),
+    Bounds(2, 2, 2, ("p",)),
+    Bounds(2, 2, 2, (), True),
+    Bounds(1, 1, 1, ()),
+)
+
+
+def _searchable(b):
+    return [f for f in FORMULAS
+            if set(propositions_of(f)) <= set(b.props)
+            and max_agent(f) <= b.max_agents
+            and (b.vary_all_states or modal_depth(f) < 2)]
+
+
+def oracle(f, b):
+    need = max_agent(f)
+    models = states = 0
+    for m in enumerate_models(b):
+        if m.n_agents < need:
+            continue
+        models += 1
+        states += len(m.states)
+        ext = extension(m, f)
+        for s in m.states:
+            if s not in ext:
+                return (m, s), models, states
+    return None, models, states
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_BOUNDS).flatmap(
+    lambda b: st.tuples(st.just(b), st.sampled_from(_searchable(b)))),
+    st.booleans())
+def test_search_matches_oracle(case, negate):
+    """Counterexamples to f, or with negate to !f: models of f."""
+    b, f = case
+    if negate:
+        f = Not(f)
+    verdict, models, states = _search(f, b)
+    hit, want_models, want_states = oracle(f, b)
+    assert (models, states) == (want_models, want_states)
+    assert isinstance(verdict, Counterexample) == (hit is not None)
+    if hit is not None:
+        assert (verdict.model, verdict.state) == hit
+        assert verdict.models_checked == models
+    else:
+        assert (verdict.models_checked, verdict.states_checked) == (
+            models, states)

@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from clic import (
-    ActionProfile, Bounds, Coalition, CoalitionOutOfRange, MissingActions,
+    ActionProfile, Bounds, BoundsTooSmall, Coalition, CoalitionOutOfRange,
+    MissingActions,
     MissingInit, ModelFormatError, PartialOutcome, ProfilesNotPartition,
     UnknownAction, UnknownAgent, UnknownState, apply, complement,
     enumerate_models, parse_model, print_model, profiles,
@@ -174,6 +175,8 @@ def test_bounds_normalizes_props():
     assert b.props == ("p", "q")
     with pytest.raises(ValueError):
         Bounds(0, 3, 2)
+    with pytest.raises(BoundsTooSmall):
+        Bounds(2, 0, 2)
 
 
 def test_enumerate_tiny_space():

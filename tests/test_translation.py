@@ -109,8 +109,7 @@ def test_preservation_small_grid():
 
 
 def test_preservation_counts_skip_small_models():
-    from clic import enumerate_formulas, max_agent
-    from clic._eval import build_space
+    from clic import enumerate_formulas, enumerate_models, max_agent
 
     b = Bounds(2, 2, 1, ("p",))
     rep = check_truth_preservation(b, 1)
@@ -120,9 +119,9 @@ def test_preservation_counts_skip_small_models():
     fs = list(enumerate_formulas(("p",), 2, 1))
     narrow = sum(1 for f in fs if max_agent(f) <= 1)
     want = 0
-    for ctx in build_space(b):
-        fits = len(fs) if ctx.model.n_agents >= 2 else narrow
-        want += len(ctx.model.states) * fits
+    for m in enumerate_models(b):
+        fits = len(fs) if m.n_agents >= 2 else narrow
+        want += len(m.states) * fits
     assert rep.formulas_checked == len(fs) == 39
     assert rep.total_checks == want == 1188
 

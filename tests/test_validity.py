@@ -153,3 +153,14 @@ def test_find_countermodel_state_is_first_failing():
         if s == v.state:
             break
         assert not satisfies(v.model, s, parse_formula("p"))
+
+
+def test_deep_formula_searches_without_limits():
+    from clic import Ability, Atom, Coalition
+    f = Atom("p")
+    for _ in range(400):
+        f = Ability(Coalition((1,)), f)
+    v = find_countermodel(f, Bounds(1, 1, 1, ("p",), True))
+    assert isinstance(v, Counterexample)
+    assert v.state == "s1"
+    assert v.models_checked == 1
