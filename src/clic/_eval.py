@@ -26,7 +26,7 @@ from .formula import (
 )
 from .model import Bounds, CoalitionModel, block_model, size_blocks
 
-__all__ = ["Block", "blocks", "compile_formula", "first_failure"]
+__all__ = ["ModelContext", "blocks", "compile_formula", "first_failure"]
 
 
 @lru_cache(maxsize=64)
@@ -70,8 +70,9 @@ def _reach(g: tuple[int, ...], sets: tuple[tuple[int, ...], ...]) -> int:
     return reduce(or_, [reduce(and_, map(g.__getitem__, s)) for s in sets])
 
 
-class Block:
-    """One size block of a model space: frames times valuations."""
+class ModelContext:
+    """The evaluation context of one size block of a model space: its
+    frames, its valuation lanes and its reach sets per outcome row."""
 
     def __init__(self, b: Bounds, n_agents: int, n_states: int,
                  sizes: tuple[int, ...]):
@@ -101,10 +102,10 @@ class Block:
                            valuation, frame)
 
 
-_block = lru_cache(maxsize=256)(Block)
+_block = lru_cache(maxsize=256)(ModelContext)
 
 
-def blocks(b: Bounds, min_agents: int = 1) -> Iterator[Block]:
+def blocks(b: Bounds, min_agents: int = 1) -> Iterator[ModelContext]:
     """The blocks of b in order, skipping narrow ones; each is built
     when reached, so an early stop skips the reach sets of the rest."""
     for key in size_blocks(b):
@@ -189,7 +190,7 @@ def compile_formula(f: Formula, props: tuple[str, ...]):
     return emit(f)
 
 
-def first_failure(compiled, block: Block) -> tuple[int, int, int] | None:
+def first_failure(compiled, block: ModelContext) -> tuple[int, int, int] | None:
     """(valuation, frame, state) of the block's first failing model: the
     lowest failing lane, its earliest frame, and the lowest state."""
     value, frames = compiled(block), block.frames()

@@ -94,19 +94,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
     state = args.state if args.state is not None else m.initial
 
-    details: list[str] = []
     if isinstance(f, Ability):
         result, witness = check_ability(m, state, f.coalition, f.body)
+        print(f"result: {'true' if result else 'false'}")
         if result:
-            details.append(f"witness: {witness.action}")
+            print(f"witness: {witness.action}")
     elif isinstance(f, Inability):
         result, witness = check_inability(m, state, f.coalition, f.body)
+        print(f"result: {'true' if result else 'false'}")
         if result:
-            details += [f"counter: {own} => {counter}"
-                        for own, counter in witness.counters.items()]
+            for own, counter in witness.counters.items():
+                print(f"counter: {own} => {counter}")
     else:
         result = satisfies(m, state, f)
-    print(f"result: {'true' if result else 'false'}", *details, sep="\n")
+        print(f"result: {'true' if result else 'false'}")
     return 0 if result else 1
 
 
@@ -176,14 +177,17 @@ def cmd_laws(args: argparse.Namespace) -> int:
                args.all_states)
     report = run_laws(b, chosen)
     if args.structured:
-        print("\n\n".join("\n".join([
-            f"law: {r.law_id}",
-            f"expected: {r.expected}",
-            f"observed: {r.observed}",
-            f"instantiations: {r.instantiations}",
-            f"models_checked: {r.models_checked}",
-            f"result: {'PASS' if r.passed else 'FAIL'}",
-        ]) for r in report.results))
+        blocks = []
+        for r in report.results:
+            blocks.append("\n".join([
+                f"law: {r.law_id}",
+                f"expected: {r.expected}",
+                f"observed: {r.observed}",
+                f"instantiations: {r.instantiations}",
+                f"models_checked: {r.models_checked}",
+                f"result: {'PASS' if r.passed else 'FAIL'}",
+            ]))
+        print("\n\n".join(blocks))
     else:
         print(report.render())
         if args.law is not None:

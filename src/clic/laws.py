@@ -452,8 +452,11 @@ class LawReport:
                          "PASS" if r.passed else "FAIL"))
         widths = [max(len(row[i]) for row in rows)
                   for i in range(len(header))]
-        lines = ["  ".join(cell.ljust(width) for cell, width
-                           in zip(row, widths)).rstrip() for row in rows]
+        lines = []
+        for row in rows:
+            lines.append("  ".join(cell.ljust(width)
+                                   for cell, width in zip(row, widths))
+                         .rstrip())
         lines.insert(1, "  ".join("-" * width for width in widths))
         return "\n".join(lines)
 
@@ -481,21 +484,28 @@ def _run_law(law: Law, b: Bounds) -> LawResult:
     found, observed = _OBSERVED[law.expected]
     count = models_total = 0
     evidence = instance = None
-    for f in _candidates(law, b.max_agents, b.props):
+    # A valid row must search every instance: one the bounds cannot
+    # search raises rather than pass unchecked.  The other rows try the
+    # fixture's pinned instance first, and it may mention more agents
+    # than the bounds allow; skip such instances rather than abort.
+    valid = law.expected == "valid"
+    pick = instantiations if valid else _candidates
+    for f in pick(law, b.max_agents, b.props):
         count += 1
-        # A model of f is a countermodel of !f.  The pinned fixture
-        # instance may mention more agents than the bounds allow; skip
-        # it rather than abort the row.
-        try:
+        try:    # a model of f is a countermodel of !f
             verdict = find_countermodel(
                 Not(f) if law.expected == "satisfiable" else f, b)
         except BoundsInsufficientForFormula:
+            if valid:
+                raise
             continue
         models_total += verdict.models_checked
         if isinstance(verdict, Counterexample):
             observed, evidence, instance = found, verdict, f
             break
-    fixture_ok = None if law.fixture is None else replay_fixture(law)
+    fixture_ok = None
+    if not valid and law.fixture is not None:
+        fixture_ok = replay_fixture(law)
     passed = observed == law.expected and fixture_ok is not False
     return LawResult(law.id, law.expected, observed, count, models_total,
                      passed, evidence, instance, fixture_ok,

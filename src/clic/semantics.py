@@ -80,20 +80,22 @@ def extension(m: CoalitionModel, f: Formula,
         elif isinstance(g, Iff):
             left, right = ext(g.left), ext(g.right)
             result = all_states - (left ^ right)
-        elif isinstance(g, (Ability, Inability)):
+        elif isinstance(g, Ability):
             body = ext(g.body)
             own = list(profiles(m, g.coalition))
             others = list(profiles(m, complement(m, g.coalition)))
-            if isinstance(g, Ability):
-                result = frozenset(
-                    s for s in m.states
-                    if any(all(apply(m, s, pc, pd) in body for pd in others)
-                           for pc in own))
-            else:
-                result = frozenset(
-                    s for s in m.states
-                    if all(any(apply(m, s, pc, pd) not in body
-                               for pd in others) for pc in own))
+            result = frozenset(
+                s for s in m.states
+                if any(all(apply(m, s, pc, pd) in body for pd in others)
+                       for pc in own))
+        elif isinstance(g, Inability):
+            body = ext(g.body)
+            own = list(profiles(m, g.coalition))
+            others = list(profiles(m, complement(m, g.coalition)))
+            result = frozenset(
+                s for s in m.states
+                if all(any(apply(m, s, pc, pd) not in body for pd in others)
+                       for pc in own))
         else:
             raise TypeError(f"not a formula: {g!r}")
         memo[g] = result

@@ -72,9 +72,10 @@ def check_truth_preservation(b: Bounds,
     clauses and the translated one through the frame-major engine, so
     agreement also cross-checks the two evaluators against each other.
     Comparing both sides on the same engine would prove nothing: the
-    engine already evaluates I[C] as the complement of E[C].  Reference
-    results are packed into the engine's lane vectors, one bit per
-    valuation, and compared once per frame and formula.
+    engine already evaluates I[C] as the complement of E[C].  The
+    engine's value for a frame holds every valuation at once; model
+    v * frames + f of a size block is compared with bit v of its value
+    for frame f.
     """
     if max_formula_depth < 0:
         raise BoundsTooSmall("no formulas below depth 0")
@@ -86,31 +87,24 @@ def check_truth_preservation(b: Bounds,
     jobs = [(f, max_agent(f), compile_formula(translate(f), b.props))
             for f in enumerate_formulas(b.props, b.max_agents,
                                         max_formula_depth)]
-    total, found, space = 0, [], list(blocks(b))
-    for number, block in enumerate(space):
-        bound = [(k, f, c(block)) for k, (f, need, c) in enumerate(jobs)
+    total, violations, space = 0, [], list(blocks(b))
+    for block in space:
+        bound = [(f, c(block)) for f, need, c in jobs
                  if need <= block.n_agents]
         total += len(bound) * block.n_models * block.n_states
-        lanes = range(block.full.bit_length())
-        for frame, fr in enumerate(block.frames()):
-            models = [block.model(v, frame) for v in lanes]
-            states = list(enumerate(models[0].states))
-            # One reference memo per model covers every subformula the
-            # stream has in common, which is most of it.
-            memos: list[dict] = [{} for _ in lanes]
-            for k, f, want in bound:
-                want = want if type(want) is tuple else want(fr)
-                got = [0] * len(states)
-                for v, m in enumerate(models):
-                    ref = extension(m, f, memos[v])
-                    for i, s in states:
-                        if s in ref:
-                            got[i] |= 1 << v
-                if tuple(got) != want:
-                    found += [((number, v, frame, k, i), (f, models[v], s))
-                              for i, s in states for v in lanes
-                              if (got[i] ^ want[i]) >> v & 1]
-    found.sort(key=lambda item: item[0])
+        values = [[x if type(x) is tuple else x(fr) for _, x in bound]
+                  for fr in block.frames()]
+        for v in range(block.full.bit_length()):
+            for frame, row in enumerate(values):
+                m = block.model(v, frame)
+                # One reference memo per model covers every subformula
+                # the stream has in common, which is most of it.
+                memo: dict[Formula, frozenset[str]] = {}
+                for (f, _), want in zip(bound, row):
+                    ref = extension(m, f, memo)
+                    for s, x in zip(m.states, want):
+                        if (s in ref) is not bool(x >> v & 1):
+                            violations.append((f, m, s))
     return PreservationReport(total, len(jobs),
                               sum(block.n_models for block in space),
-                              tuple(v for _, v in found))
+                              tuple(violations))

@@ -49,7 +49,7 @@ class Counterexample:
     `size` is only set by minimal_countermodel: the (states, actions,
     agents) bound tuple at which the search first succeeded.
     `models_checked` counts the models the search visited, this one
-    included.
+    included; for minimal_countermodel, over every size tuple it tried.
     """
 
     model: CoalitionModel
@@ -144,6 +144,7 @@ def minimal_countermodel(f: Formula, b: Bounds) -> Verdict:
     """
     last_error: BoundsInsufficientForFormula | None = None
     verdict: Verdict | None = None
+    visited = 0
     for size in product(range(1, b.max_states + 1),
                         range(1, b.max_actions_per_agent + 1),
                         range(1, b.max_agents + 1)):
@@ -154,8 +155,9 @@ def minimal_countermodel(f: Formula, b: Bounds) -> Verdict:
         except BoundsInsufficientForFormula as err:
             last_error = err
             continue
+        visited += verdict.models_checked
         if isinstance(verdict, Counterexample):
-            return replace(verdict, size=size)
+            return replace(verdict, size=size, models_checked=visited)
     if verdict is None:
         assert last_error is not None
         raise last_error

@@ -3,7 +3,7 @@
 import pytest
 
 from clic import (
-    Bounds, Counterexample, FixtureMissing, Law, NoCounterexampleWithinBounds,
+    Bounds, BoundsInsufficientForFormula, Counterexample, FixtureMissing, Law, NoCounterexampleWithinBounds,
     catalog, check_equivalence, default_bounds, find_countermodel,
     fixture_model, instantiations, parse_formula, print_formula,
     replay_fixture, run_laws, satisfies,
@@ -196,3 +196,14 @@ def test_custom_law_runs():
     report = run_laws(default_bounds(("p",)), [law])
     assert report.passed
     assert report.results[0].instantiations == 1
+
+
+def test_valid_law_the_bounds_cannot_search_raises():
+    # Without vary_all_states a nested scheme cannot be searched; a valid
+    # row must not report PASS over instances it never checked.
+    law = Law("nested", "custom", "a depth-2 scheme", "valid",
+              lambda n, cs, fs: parse_formula("E[1] E[1] p"), 0, "none")
+    b = default_bounds(("p",))
+    assert not b.vary_all_states
+    with pytest.raises(BoundsInsufficientForFormula):
+        run_laws(b, [law])

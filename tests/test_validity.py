@@ -1,5 +1,7 @@
 """Bounded countermodel search."""
 
+from itertools import product
+
 import pytest
 
 from clic import (
@@ -115,11 +117,21 @@ def test_check_equivalence():
 
 
 def test_minimal_countermodel_sizes():
-    v = minimal_countermodel(
-        parse_formula("I[1] (p & q) -> (I[1] p | I[1] q)"), default_bounds())
+    f = parse_formula("I[1] (p & q) -> (I[1] p | I[1] q)")
+    b = default_bounds()
+    v = minimal_countermodel(f, b)
     assert isinstance(v, Counterexample)
     assert v.size == (2, 2, 1)
     assert v.model.n_agents == 1
+    # The count covers every size tuple tried, up to the succeeding one.
+    tried = [size for size in product(range(1, b.max_states + 1),
+                                      range(1, b.max_actions_per_agent + 1),
+                                      range(1, b.max_agents + 1))
+             if size <= v.size]
+    assert v.models_checked == sum(
+        find_countermodel(f, Bounds(n, s, a, b.props, b.vary_all_states))
+        .models_checked
+        for s, a, n in tried)
 
     v = minimal_countermodel(
         parse_formula("(I[1] p & I[1] q) -> I[1] (p | q)"), default_bounds())
