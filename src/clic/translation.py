@@ -65,17 +65,18 @@ def check_truth_preservation(b: Bounds,
     recorded as a violation (which would indict this implementation,
     not the translation).  One check = one (formula, model, state)
     triple; models with fewer agents than a formula mentions are
-    skipped for that formula.  Violations are listed in enumeration
-    order: by model, then formula, then state.
+    skipped for that formula.
 
     The original formula runs through the reference satisfaction
     clauses and the translated one through the frame-major engine, so
     agreement also cross-checks the two evaluators against each other.
     Comparing both sides on the same engine would prove nothing: the
     engine already evaluates I[C] as the complement of E[C].  The
-    engine's value for a frame holds every valuation at once; model
-    v * frames + f of a size block is compared with bit v of its value
-    for frame f.
+    engine's value for a frame holds every valuation at once, so the
+    grid runs frame by frame: model v * frames + f of a size block is
+    compared with bit v of the value for frame f.  Violations are
+    listed in that order: by size block, frame, valuation, formula and
+    state.
     """
     if max_formula_depth < 0:
         raise BoundsTooSmall("no formulas below depth 0")
@@ -92,10 +93,9 @@ def check_truth_preservation(b: Bounds,
         bound = [(f, c(block)) for f, need, c in jobs
                  if need <= block.n_agents]
         total += len(bound) * block.n_models * block.n_states
-        values = [[x if type(x) is tuple else x(fr) for _, x in bound]
-                  for fr in block.frames()]
-        for v in range(block.full.bit_length()):
-            for frame, row in enumerate(values):
+        for frame, fr in enumerate(block.frames()):
+            row = [x if type(x) is tuple else x(fr) for _, x in bound]
+            for v in range(block.full.bit_length()):
                 m = block.model(v, frame)
                 # One reference memo per model covers every subformula
                 # the stream has in common, which is most of it.

@@ -126,6 +126,28 @@ def test_preservation_counts_skip_small_models():
     assert rep.total_checks == want == 1188
 
 
+def test_preservation_reports_each_disagreement(monkeypatch):
+    from collections import Counter
+
+    import clic.translation
+    from clic import enumerate_formulas, enumerate_models, print_model
+    from clic import satisfies
+
+    # A faulty translation that also demands p disagrees exactly where
+    # f holds and p does not, which differs from valuation to valuation.
+    monkeypatch.setattr(clic.translation, "translate",
+                        lambda f: And(f, Atom("p")))
+    b = Bounds(1, 2, 2, ("p",), True)
+    rep = check_truth_preservation(b, 1)
+    fs = list(enumerate_formulas(("p",), 1, 1))
+    want = Counter((f, print_model(m), s) for m in enumerate_models(b)
+                   for f in fs for s in m.states
+                   if satisfies(m, s, f) and s not in m.valuation["p"])
+    assert want
+    assert Counter((f, print_model(m), s)
+                   for f, m, s in rep.violations) == want
+
+
 def test_preservation_rejects_bad_grids():
     with pytest.raises(BoundsTooSmall):
         check_truth_preservation(Bounds(1, 1, 1), -1)
