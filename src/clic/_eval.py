@@ -190,7 +190,8 @@ def compile_formula(f: Formula, props: tuple[str, ...]):
     return emit(f)
 
 
-def first_failure(compiled, block: ModelContext) -> tuple[int, int, int] | None:
+def first_failure(compiled, block: ModelContext
+                  ) -> tuple[int, int, int] | None:
     """(valuation, frame, state) of the block's first failing model: the
     lowest failing lane, its earliest frame, and the lowest state."""
     value, frames = compiled(block), block.frames()

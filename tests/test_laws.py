@@ -3,7 +3,8 @@
 import pytest
 
 from clic import (
-    Bounds, BoundsInsufficientForFormula, Counterexample, FixtureMissing, Law, NoCounterexampleWithinBounds,
+    Bounds, BoundsInsufficientForFormula, Counterexample, FixtureMissing,
+    Law, NoCounterexampleWithinBounds,
     catalog, check_equivalence, default_bounds, find_countermodel,
     fixture_model, instantiations, parse_formula, print_formula,
     replay_fixture, run_laws, satisfies,
