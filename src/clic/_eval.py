@@ -9,6 +9,9 @@ C's joint actions reach from s, of the AND of g over each set, and
 I[C] g is its complement.  Reach sets depend only on the state's
 outcome row, so a frame is the tuple of its states' row numbers.
 
+A formula takes its value in a block in one recursive walk of its AST,
+dispatched on node type as in `semantics.extension`; nothing is compiled.
+
 Everything here is internal: callers replay what it finds through the
 reference clauses in `semantics`.
 """
@@ -23,6 +26,7 @@ from typing import Iterator
 
 from .formula import (
     Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
+    propositions_of,
 )
 from .model import Bounds, CoalitionModel, block_model, size_blocks
 
@@ -114,11 +118,10 @@ def blocks(b: Bounds, min_agents: int = 1) -> Iterator[ModelContext]:
 
 
 # ---------------------------------------------------------------------------
-# A compiled formula binds to a block and returns its lane vectors when no
-# modality lies below, and otherwise a function from frames to them.
+# A formula's value in a block is its lane vectors if no modality lies
+# below, else a function from frames to them, built in one pass.
 
 _OPS = {
-    Not: lambda top, x: tuple(map(xor, top, x)),
     And: lambda top, x, y: tuple(map(and_, x, y)),
     Or: lambda top, x, y: tuple(map(or_, x, y)),
     Implies: lambda top, x, y: tuple(map(or_, map(xor, top, x), y)),
@@ -126,28 +129,21 @@ _OPS = {
 }
 
 
-def _connective(op, *kids):
-    def bind(block):
-        top = block.top
-        xs = [kid(block) for kid in kids]
-        if all(type(x) is tuple for x in xs):
-            return op(top, *xs)
-        fs = [(lambda fr, x=x: x) if type(x) is tuple else x for x in xs]
-        if len(fs) == 1:
-            f0, = fs
-            return lambda fr: op(top, f0(fr))
-        f0, f1 = fs
-        return lambda fr: op(top, f0(fr), f1(fr))
-    return bind
-
-
-def _modal(kid, c: int, negate: bool):
-    def bind(block):
-        x, column = kid(block), block.columns[c]
-        flip = block.full if negate else 0
+def _bind(g: Formula, block: ModelContext):
+    kind = type(g)
+    if kind is Atom:
+        return block.atoms[block.bounds.props.index(g.name)]
+    if kind is Top:
+        return block.top
+    if kind is Bot:
+        return block.bot
+    if kind is Ability or kind is Inability:
+        c, x = g.coalition.bitmask(), _bind(g.body, block)
+        column, flip = block.columns[c], block.full if kind is Inability else 0
         if type(x) is not tuple:
-            return lambda fr: _flip_reach(flip, x(fr), column, fr)
-        key = c, negate, x      # the value at s depends on s's row only
+            return lambda fr: tuple([flip ^ _reach(x(fr), column[r])
+                                     for r in fr])
+        key = c, flip, x        # the value at s depends on s's row only
         value = block.memo.get(key)
         if value is None:
             if len(block.memo) > 4096:
@@ -155,39 +151,27 @@ def _modal(kid, c: int, negate: bool):
             get = [flip ^ _reach(x, sets) for sets in column].__getitem__
             value = block.memo[key] = lambda fr: tuple(map(get, fr))
         return value
-    return bind
-
-
-def _flip_reach(flip, g, column, fr):
-    return tuple([flip ^ _reach(g, column[r]) for r in fr])
+    top = block.top
+    if kind is Not:
+        x = _bind(g.body, block)
+        if type(x) is tuple:
+            return tuple(map(xor, top, x))
+        return lambda fr: tuple(map(xor, top, x(fr)))
+    if kind not in _OPS:
+        raise TypeError(f"not a formula: {g!r}")
+    op, x, y = _OPS[kind], _bind(g.left, block), _bind(g.right, block)
+    if type(x) is tuple and type(y) is tuple:
+        return op(top, x, y)
+    fx = (lambda fr: x) if type(x) is tuple else x
+    fy = (lambda fr: y) if type(y) is tuple else y
+    return lambda fr: op(top, fx(fr), fy(fr))
 
 
 def compile_formula(f: Formula, props: tuple[str, ...]):
-    """Compile f for the blocks of any space over `props` that have at
-    least max_agent(f) agents."""
-    index = {p: i for i, p in enumerate(props)}
-
-    def emit(g: Formula):
-        kind = type(g)
-        if kind is Atom:
-            if g.name not in index:
-                raise ValueError(f"atom {g.name!r} not among props {props}")
-            j = index[g.name]
-            return lambda block: block.atoms[j]
-        if kind is Top:
-            return lambda block: block.top
-        if kind is Bot:
-            return lambda block: block.bot
-        if kind is Ability or kind is Inability:
-            return _modal(emit(g.body), g.coalition.bitmask(),
-                          kind is Inability)
-        if kind is Not:
-            return _connective(_OPS[Not], emit(g.body))
-        if kind in _OPS:
-            return _connective(_OPS[kind], emit(g.left), emit(g.right))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return emit(f)
+    """f as a function of any block over `props` with max_agent(f)+ agents."""
+    if missing := set(propositions_of(f)).difference(props):
+        raise ValueError(f"atoms {sorted(missing)} not among props {props}")
+    return lambda block: _bind(f, block)
 
 
 def first_failure(compiled, block: ModelContext

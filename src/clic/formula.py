@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import DuplicateAgentInCoalition, ParseError
@@ -163,7 +164,10 @@ PREC_IMP = 2
 PREC_OR = 3
 PREC_AND = 4
 PREC_UNARY = 5
-PREC_ATOM = 6
+
+# Deepest AST and parenthesis nesting parse_formula accepts: about half the
+# height (198) at which the dataclasses' recursive repr hits Python's limit.
+MAX_NESTING = 100
 
 
 def print_formula(f: Formula) -> str:
@@ -171,36 +175,32 @@ def print_formula(f: Formula) -> str:
     return _print(f, PREC_IFF)
 
 
+# Binary connectives: spaced token, precedence, and the precedences
+# required of the operands; "->" alone associates to the right.
+_BINARY: dict[type, tuple[str, int, int, int]] = {
+    Iff: (" <-> ", PREC_IFF, PREC_IFF, PREC_IFF + 1),
+    Implies: (" -> ", PREC_IMP, PREC_IMP + 1, PREC_IMP),
+    Or: (" | ", PREC_OR, PREC_OR, PREC_OR + 1),
+    And: (" & ", PREC_AND, PREC_AND, PREC_AND + 1),
+}
+_PREFIX = {Not: "!", Ability: "E", Inability: "I"}
+_KEYWORDS = {Top: "true", Bot: "false"}
+
+
 def _print(f: Formula, required: int) -> str:
     cls = type(f)
     if cls is Atom:
         return f.name
-    if cls is Top:
-        return "true"
-    if cls is Bot:
-        return "false"
-    if cls is Not:
-        text = "!" + _print(f.body, PREC_UNARY)
-        prec = PREC_UNARY
-    elif cls is And:
-        text = _print(f.left, PREC_AND) + " & " + _print(f.right, PREC_AND + 1)
-        prec = PREC_AND
-    elif cls is Or:
-        text = _print(f.left, PREC_OR) + " | " + _print(f.right, PREC_OR + 1)
-        prec = PREC_OR
-    elif cls is Implies:
-        # Right associative: the right operand may be another implication.
-        text = _print(f.left, PREC_IMP + 1) + " -> " + _print(f.right, PREC_IMP)
-        prec = PREC_IMP
-    elif cls is Iff:
-        text = _print(f.left, PREC_IFF) + " <-> " + _print(f.right, PREC_IFF + 1)
-        prec = PREC_IFF
-    elif cls is Ability:
-        text = "E" + repr(f.coalition) + " " + _print(f.body, PREC_UNARY)
-        prec = PREC_UNARY
-    elif cls is Inability:
-        text = "I" + repr(f.coalition) + " " + _print(f.body, PREC_UNARY)
-        prec = PREC_UNARY
+    if cls in _BINARY:
+        token, prec, left, right = _BINARY[cls]
+        text = _print(f.left, left) + token + _print(f.right, right)
+    elif cls in _PREFIX:
+        head = _PREFIX[cls]
+        if cls is not Not:
+            head += repr(f.coalition) + " "
+        text, prec = head + _print(f.body, PREC_UNARY), PREC_UNARY
+    elif cls in _KEYWORDS:
+        return _KEYWORDS[cls]
     else:
         raise TypeError(f"not a formula: {f!r}")
     if prec < required:
@@ -215,15 +215,13 @@ def _print(f: Formula, required: int) -> str:
 # recovered by re-scanning only when an error message is built.
 _TOKEN_RE = re.compile(r"<->|->|[a-z][A-Za-z0-9_]*|[0-9]+|[EI!&|()\[\],]|\S")
 
-_TOP = Top()
-_BOT = Bot()
-_ATOM_CACHE: dict[str, Atom] = {}
+# Atoms by name, and the constants by keyword.
+_ATOM_CACHE: dict[str, Formula] = {t: c() for c, t in _KEYWORDS.items()}
 _COALITION_CACHE: dict[tuple[int, ...], Coalition] = {}
 
-_BIN_OPS: dict[str, tuple[int, type]] = {
-    "<->": (PREC_IFF, Iff), "->": (PREC_IMP, Implies),
-    "|": (PREC_OR, Or), "&": (PREC_AND, And),
-}
+_BIN_OPS = {token.strip(): (prec, node, right)
+            for node, (token, prec, _, right) in _BINARY.items()}
+_UNARY_OPS = {token: node for node, token in _PREFIX.items()}
 
 _UNARY_EXPECTED = ("'!'", "'E'", "'I'", "'true'", "'false'",
                    "an identifier", "'('")
@@ -244,8 +242,12 @@ def _fail(text: str, index: int, expected: tuple[str, ...],
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse concrete syntax into an AST; raises ParseError on bad input."""
+    """Parse concrete syntax into an AST; raises ParseError on bad input,
+    and on an AST or parentheses nested deeper than MAX_NESTING."""
     tokens = _TOKEN_RE.findall(text)
+    # Height and parenthesis depth never exceed the operator and "(" tokens.
+    deep = len(tokens) > MAX_NESTING and sum(
+        map(text.count, "!&|EI(")) + text.count("->") > MAX_NESTING
     tokens.append("")  # end marker
     pos = 0
 
@@ -257,28 +259,19 @@ def parse_formula(text: str) -> Formula:
             if entry is None or entry[0] < min_prec:
                 return left
             pos += 1
-            prec, node = entry
-            # "->" is right associative, the rest associate to the left.
-            right = expr(prec if node is Implies else prec + 1)
-            left = node(left, right)
+            prec, node, right = entry
+            left = node(left, expr(right))
 
     def unary() -> Formula:
         nonlocal pos
         tok = tokens[pos]
-        if tok == "!":
+        node = _UNARY_OPS.get(tok)
+        if node is not None:
             pos += 1
-            return Not(unary())
-        if tok == "E" or tok == "I":
-            pos += 1
-            c = coalition()
-            return Ability(c, unary()) if tok == "E" else Inability(c, unary())
+            return Not(unary()) if node is Not else node(coalition(), unary())
         head = tok[:1]
         if "a" <= head <= "z":
             pos += 1
-            if tok == "true":
-                return _TOP
-            if tok == "false":
-                return _BOT
             atom = _ATOM_CACHE.get(tok)
             if atom is None:
                 atom = _ATOM_CACHE[tok] = Atom(tok)
@@ -325,7 +318,14 @@ def parse_formula(text: str) -> Formula:
             c = _COALITION_CACHE[key] = Coalition(key)
         return c
 
-    result = expr(PREC_IFF)
+    try:
+        result = expr(PREC_IFF)
+    except RecursionError:      # only reached far beyond the bound
+        result = None
+    if result is None or deep and (max(accumulate(
+            (t == "(") - (t == ")") for t in tokens)) > MAX_NESTING
+            or max(d for _, d in walk(result, Formula)) > MAX_NESTING):
+        raise ParseError(f"formula nested deeper than {MAX_NESTING} levels")
     if tokens[pos] != "":
         _fail(text, pos, (), message=f"trailing input {tokens[pos]!r}")
     return result
@@ -334,16 +334,18 @@ def parse_formula(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Structural measures
 
-def walk(f: Formula) -> Iterator[tuple[Formula, int]]:
-    """Every node of f, pre-order, with the number of E/I operators
-    above it; an explicit stack lets any depth through."""
+def walk(f: Formula, counted=(Ability, Inability)
+         ) -> Iterator[tuple[Formula, int]]:
+    """Every node of f, pre-order, with its number of `counted` ancestors
+    (E/I by default); an explicit stack lets any depth through."""
     stack = [(f, 0)]
     while stack:
         g, depth = stack.pop()
         yield g, depth
-        if isinstance(g, (Not, Ability, Inability)):
-            stack.append((g.body, depth + (type(g) is not Not)))
-        elif isinstance(g, (And, Or, Implies, Iff)):
+        depth += isinstance(g, counted)
+        if type(g) in _PREFIX:
+            stack.append((g.body, depth))
+        elif type(g) in _BINARY:
             stack += [(g.right, depth), (g.left, depth)]
 
 
@@ -384,7 +386,7 @@ def enumerate_formulas(props: Sequence[str], agents: int,
         raise ValueError("max_depth must be >= 0")
     coalitions = [Coalition.from_bitmask(mask) for mask in range(1 << agents)]
     level: list[Formula] = [Atom(name) for name in sorted(set(props))]
-    level += [_TOP, _BOT]
+    level += [Top(), Bot()]
     yield from level
 
     upto = list(level)

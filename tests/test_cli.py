@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from clic import parse_formula, parse_model, satisfies
+from clic.formula import MAX_NESTING
 from clic.cli import main
 
 M1 = """\
@@ -256,3 +257,34 @@ def test_zero_bounds_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "bounds" in err
+
+
+NESTED = {
+    "!": lambda n: "!" * n + "p",
+    "&": lambda n: " & ".join(["p"] * (n + 1)),
+    "->": lambda n: " -> ".join(["p"] * (n + 1)),
+    "()": lambda n: "(" * n + "p" + ")" * n,
+    "E": lambda n: "E[1] " * n + "p",
+    "I": lambda n: "I[1] " * n + "p",
+}
+
+
+@pytest.mark.parametrize("shape", NESTED)
+@pytest.mark.parametrize("command",
+                         ["parse", "translate", "check", "countermodel"])
+def test_nesting_is_bounded_at_the_parser(capsys, m1_path, command, shape):
+    """Formula text nested to the bound runs; one level deeper is a
+    usage error, never a traceback."""
+    for n, codes in ((MAX_NESTING, (0, 1)), (MAX_NESTING + 1, (2,))):
+        argv = [command, NESTED[shape](n)]
+        if command == "check":
+            argv.insert(1, m1_path)
+        if command == "countermodel":
+            argv += ["--agents", "1", "--states", "1", "--actions", "1",
+                     "--all-states"]
+        code, _, err = run(capsys, *argv)
+        assert code in codes
+        if code == 2:
+            assert err.startswith("error: ") and "nested deeper" in err
+        else:
+            assert err == ""

@@ -5,11 +5,11 @@ from itertools import product
 from hypothesis import assume, given, settings, strategies as st
 
 from clic import (
-    Bounds, Coalition, Counterexample, Not, apply, complement, default_bounds,
-    enumerate_formulas, enumerate_models, extension, max_agent, modal_depth,
-    profiles, propositions_of,
+    Atom, Bounds, Coalition, Counterexample, Not, apply, complement,
+    default_bounds, enumerate_formulas, enumerate_models, extension,
+    max_agent, modal_depth, profiles, propositions_of,
 )
-from clic._eval import _columns, blocks, compile_formula
+from clic._eval import ModelContext, _columns, blocks, compile_formula
 from clic.validity import _search
 
 PROPS = ("p", "q")
@@ -79,6 +79,17 @@ def test_row_cache_is_shared_per_bounds():
     keys = {(x.n_states, x.sizes) for x in first}
     assert sum(len(_columns(*key)) * len(_columns(*key)[0])
                for key in keys) == 568
+
+
+def test_tracer_seams_exist():
+    """The benchmark's tracer (perfbench/tracing.py) wraps these by name."""
+    assert "__init__" in vars(ModelContext)
+    compiled = compile_formula(Not(Atom("p")), PROPS)
+    block = next(blocks(SPACE))
+    assert type(compiled(block)) is tuple
+    verdict, models, states = _search(Atom("p"), SPACE)
+    assert isinstance(verdict, Counterexample)
+    assert models == verdict.models_checked and states >= models
 
 
 def _minimal(sets):

@@ -113,6 +113,18 @@ def test_parse_error_at_end_of_input():
     assert info.value.offset == 3
 
 
+def test_nesting_bound_counts_height_not_size():
+    wide = "p"
+    for _ in range(10):     # 2,046 operators, height 20
+        wide = f"({wide}) & !({wide})"
+    f = parse_formula(wide)
+    assert parse_formula(print_formula(f)) == f
+    for text in ("!" * 5000 + "p", "(" * 5000 + "p" + ")" * 5000,
+                 " -> ".join(["p"] * 5000), "E[1] " * 5000 + "p"):
+        with pytest.raises(ParseError, match="nested deeper than 100"):
+            parse_formula(text)
+
+
 def test_duplicate_agent_in_coalition():
     with pytest.raises(DuplicateAgentInCoalition):
         parse_formula("E[1,1] p")
