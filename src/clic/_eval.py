@@ -141,8 +141,10 @@ def _bind(g: Formula, block: ModelContext):
         c, x = g.coalition.bitmask(), _bind(g.body, block)
         column, flip = block.columns[c], block.full if kind is Inability else 0
         if type(x) is not tuple:
-            return lambda fr: tuple([flip ^ _reach(x(fr), column[r])
-                                     for r in fr])
+            def value(fr):      # the body once per frame, not per state
+                y = x(fr)
+                return tuple([flip ^ _reach(y, column[r]) for r in fr])
+            return value
         key = c, flip, x        # the value at s depends on s's row only
         value = block.memo.get(key)
         if value is None:

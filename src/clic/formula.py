@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import DuplicateAgentInCoalition, ParseError
@@ -165,8 +164,8 @@ PREC_OR = 3
 PREC_AND = 4
 PREC_UNARY = 5
 
-# Deepest AST and parenthesis nesting parse_formula accepts: about half the
-# height (198) at which the dataclasses' recursive repr hits Python's limit.
+# Deepest AST parse_formula accepts: about half the height (199) at which
+# the dataclasses' recursive repr hits Python's limit in `clic parse`.
 MAX_NESTING = 100
 
 
@@ -195,9 +194,7 @@ def _print(f: Formula, required: int) -> str:
         token, prec, left, right = _BINARY[cls]
         text = _print(f.left, left) + token + _print(f.right, right)
     elif cls in _PREFIX:
-        head = _PREFIX[cls]
-        if cls is not Not:
-            head += repr(f.coalition) + " "
+        head = _PREFIX[cls] if cls is Not else f"{_PREFIX[cls]}{f.coalition} "
         text, prec = head + _print(f.body, PREC_UNARY), PREC_UNARY
     elif cls in _KEYWORDS:
         return _KEYWORDS[cls]
@@ -243,9 +240,9 @@ def _fail(text: str, index: int, expected: tuple[str, ...],
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into an AST; raises ParseError on bad input,
-    and on an AST or parentheses nested deeper than MAX_NESTING."""
+    and on an AST nested deeper than MAX_NESTING."""
     tokens = _TOKEN_RE.findall(text)
-    # Height and parenthesis depth never exceed the operator and "(" tokens.
+    # Height and parser recursion never exceed the operator and "(" tokens.
     deep = len(tokens) > MAX_NESTING and sum(
         map(text.count, "!&|EI(")) + text.count("->") > MAX_NESTING
     tokens.append("")  # end marker
@@ -320,11 +317,12 @@ def parse_formula(text: str) -> Formula:
 
     try:
         result = expr(PREC_IFF)
-    except RecursionError:      # only reached far beyond the bound
+    except RecursionError:      # the parser's stack: text far beyond the bound
+        if not deep:
+            raise
         result = None
-    if result is None or deep and (max(accumulate(
-            (t == "(") - (t == ")") for t in tokens)) > MAX_NESTING
-            or max(d for _, d in walk(result, Formula)) > MAX_NESTING):
+    if deep and (result is None
+                 or max(d for _, d in walk(result, Formula)) > MAX_NESTING):
         raise ParseError(f"formula nested deeper than {MAX_NESTING} levels")
     if tokens[pos] != "":
         _fail(text, pos, (), message=f"trailing input {tokens[pos]!r}")

@@ -263,28 +263,46 @@ NESTED = {
     "!": lambda n: "!" * n + "p",
     "&": lambda n: " & ".join(["p"] * (n + 1)),
     "->": lambda n: " -> ".join(["p"] * (n + 1)),
-    "()": lambda n: "(" * n + "p" + ")" * n,
     "E": lambda n: "E[1] " * n + "p",
     "I": lambda n: "I[1] " * n + "p",
 }
+COMMANDS = ["parse", "translate", "check", "countermodel"]
+
+
+def run_formula(capsys, m1_path, command, text):
+    argv = [command, text]
+    if command == "check":
+        argv.insert(1, m1_path)
+    if command == "countermodel":
+        argv += ["--agents", "1", "--states", "1", "--actions", "1",
+                 "--all-states"]
+    return run(capsys, *argv)
 
 
 @pytest.mark.parametrize("shape", NESTED)
-@pytest.mark.parametrize("command",
-                         ["parse", "translate", "check", "countermodel"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_nesting_is_bounded_at_the_parser(capsys, m1_path, command, shape):
     """Formula text nested to the bound runs; one level deeper is a
     usage error, never a traceback."""
     for n, codes in ((MAX_NESTING, (0, 1)), (MAX_NESTING + 1, (2,))):
-        argv = [command, NESTED[shape](n)]
-        if command == "check":
-            argv.insert(1, m1_path)
-        if command == "countermodel":
-            argv += ["--agents", "1", "--states", "1", "--actions", "1",
-                     "--all-states"]
-        code, _, err = run(capsys, *argv)
+        text = NESTED[shape](n)
+        code, _, err = run_formula(capsys, m1_path, command, text)
         assert code in codes
         if code == 2:
             assert err.startswith("error: ") and "nested deeper" in err
         else:
             assert err == ""
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parentheses_add_no_height(capsys, m1_path, command):
+    """Redundant parentheses pass the bound; only text deep enough to
+    exhaust the parser is a usage error, never a traceback."""
+    for n in (MAX_NESTING + 1, 300):
+        text = "(" * n + "!p" + ")" * n
+        code, _, err = run_formula(capsys, m1_path, command, text)
+        assert code in (0, 1) and err == ""
+    text = "(" * 5000 + "p" + ")" * 5000
+    code, _, err = run_formula(capsys, m1_path, command, text)
+    assert code == 2
+    assert err.startswith("error: ") and "nested deeper" in err

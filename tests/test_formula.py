@@ -1,5 +1,7 @@
 """Formula parsing, printing, and canonical enumeration."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -123,6 +125,20 @@ def test_nesting_bound_counts_height_not_size():
                  " -> ".join(["p"] * 5000), "E[1] " * 5000 + "p"):
         with pytest.raises(ParseError, match="nested deeper than 100"):
             parse_formula(text)
+
+
+def test_shallow_text_never_reports_nesting():
+    """A stack exhausted by the caller is not blamed on a shallow text:
+    parsing at every depth either works or raises RecursionError."""
+    def parse_at(depth):
+        return parse_at(depth - 1) if depth else parse_formula("!" * 20 + "p")
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        try:
+            assert parse_at(depth) == parse_formula("!" * 20 + "p")
+            break
+        except RecursionError:
+            pass
+    assert depth > 0
 
 
 def test_duplicate_agent_in_coalition():

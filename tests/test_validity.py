@@ -176,3 +176,16 @@ def test_deep_formula_searches_without_limits():
     assert isinstance(v, Counterexample)
     assert v.state == "s1"
     assert v.models_checked == 1
+
+
+def test_nested_modalities_cost_one_body_value_per_frame():
+    """Thirty nested E[1] over a tautology, scanned over 2-state frames:
+    evaluating a modality's body once per state instead of once per
+    frame would take about 2**29 body evaluations a frame."""
+    from clic import Ability, Coalition
+    f = parse_formula("p | !p")
+    for _ in range(30):
+        f = Ability(Coalition((1,)), f)
+    v = find_countermodel(f, Bounds(1, 2, 1, ("p",), True))
+    assert isinstance(v, NoCounterexampleWithinBounds)
+    assert v.models_checked == 18
