@@ -1,13 +1,15 @@
 """Frame-major, valuation-parallel evaluation engine behind the searches.
 
-In a size block of `enumerate_models`, model v * n_frames + f pairs
-valuation v with frame (outcome function) f.  The engine streams each
-block's frames once and evaluates all valuations of a frame together: a
-value is a tuple with one int per state whose bit v is the truth there
-under valuation v.  E[C] g at s is the OR, over the minimal state sets
-C's joint actions reach from s, of the AND of g over each set, and
-I[C] g is its complement.  Reach sets depend only on the state's
-outcome row, so a frame is the tuple of its states' row numbers.
+Only this module numbers a size block's models and rebuilds them.  A
+frame (outcome function) is the tuple of its states' outcome rows, and
+model v * n_frames + f of a block of `enumerate_models` pairs valuation
+v with frame number f: `ModelContext.model` rebuilds it from v and the
+frame, and `first_failure` counts the models a scan checked.  The engine
+streams each block's frames once and evaluates all valuations of a frame
+together: a value is a tuple with one int per state whose bit v is the
+truth there under valuation v.  E[C] g at s is the OR, over the minimal
+state sets C's joint actions reach from s, of the AND of g over each
+set, and I[C] g is its complement.
 
 A formula takes its value in a block in one recursive walk of its AST,
 dispatched on node type as in `semantics.extension`; nothing is compiled.
@@ -19,7 +21,7 @@ reference clauses in `semantics`.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import islice, product
 from math import prod
 from operator import and_, or_, xor
 from typing import Iterator
@@ -28,7 +30,7 @@ from .formula import (
     Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
     propositions_of,
 )
-from .model import Bounds, CoalitionModel, block_model, size_blocks
+from .model import Bounds, CoalitionModel, _layout, size_blocks
 
 __all__ = ["ModelContext", "blocks", "compile_formula", "first_failure"]
 
@@ -101,9 +103,18 @@ class ModelContext:
         """Every frame, in enumeration order."""
         return product(*self.choices)
 
-    def model(self, valuation: int, frame: int) -> CoalitionModel:
-        return block_model(self.bounds, self.n_states, self.sizes,
-                           valuation, frame)
+    def model(self, valuation: int, fr: tuple[int, ...]) -> CoalitionModel:
+        """Valuation `valuation` on frame `fr`; digit j of a row, base
+        n_states, is the state's target under complete profile j."""
+        n, props = self.n_states, self.bounds.props
+        states, actions, subsets, full = _layout(n, self.sizes)
+        width, k = len(subsets), len(full)
+        outcome = {(s, prof): states[r // n ** (k - 1 - j) % n]
+                   for s, r in zip(states, fr) for j, prof in enumerate(full)}
+        return CoalitionModel(
+            len(self.sizes), states, actions, outcome,
+            {p: subsets[valuation // width ** (len(props) - 1 - j) % width]
+             for j, p in enumerate(props)}, states[0])
 
 
 _block = lru_cache(maxsize=256)(ModelContext)
@@ -177,23 +188,25 @@ def compile_formula(f: Formula, props: tuple[str, ...]):
 
 
 def first_failure(compiled, block: ModelContext
-                  ) -> tuple[int, int, int] | None:
-    """(valuation, frame, state) of the block's first failing model: the
-    lowest failing lane, its earliest frame, and the lowest state."""
+                  ) -> tuple[int, CoalitionModel | None, str | None]:
+    """(models checked, model, state) for the block's first failing
+    model: the lowest failing lane, its earliest frame, and the lowest
+    state.  With no failure: (block.n_models, None, None)."""
     value, frames = compiled(block), block.frames()
-    if type(value) is tuple:    # the same in every frame: check one
-        value, frames = (lambda fr, got=value: got), [None]
+    if type(value) is tuple:    # the same in every frame: check the first
+        value, frames = (lambda fr, got=value: got), islice(frames, 1)
     best, lanes, top = None, block.full, block.top
-    for frame, fr in enumerate(frames):
+    for number, fr in enumerate(frames):
         got = value(fr)
         if got != top:
             miss = lanes & ~reduce(and_, got)
             if miss:
-                best, lanes = (got, frame), (miss & -miss) - 1
+                best, lanes = (got, number, fr), (miss & -miss) - 1
                 if not lanes:
                     break
     if best is None:
-        return None
-    (got, frame), bit = best, lanes + 1
-    return (bit.bit_length() - 1, frame,
-            next(i for i, x in enumerate(got) if not x & bit))
+        return block.n_models, None, None
+    (got, number, fr), v = best, lanes.bit_length()     # the lowest miss
+    m = block.model(v, fr)
+    return (v * block.n_frames + number + 1, m,
+            next(s for s, x in zip(m.states, got) if not x >> v & 1))

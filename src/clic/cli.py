@@ -23,7 +23,7 @@ from .formula import (
     Ability, Inability, ast_dump, parse_formula, print_formula,
     propositions_of,
 )
-from .laws import catalog, fixture_model, run_laws
+from .laws import COLUMNS, catalog, fixture_model, run_laws
 from .model import Bounds, parse_model, print_model
 from .semantics import check_ability, check_inability, satisfies
 from .translation import translate
@@ -177,17 +177,9 @@ def cmd_laws(args: argparse.Namespace) -> int:
                args.all_states)
     report = run_laws(b, chosen)
     if args.structured:
-        blocks = []
-        for r in report.results:
-            blocks.append("\n".join([
-                f"law: {r.law_id}",
-                f"expected: {r.expected}",
-                f"observed: {r.observed}",
-                f"instantiations: {r.instantiations}",
-                f"models_checked: {r.models_checked}",
-                f"result: {'PASS' if r.passed else 'FAIL'}",
-            ]))
-        print("\n\n".join(blocks))
+        print("\n\n".join("\n".join(f"{name}: {cell}" for name, cell
+                                    in zip(COLUMNS, r.row()))
+                          for r in report.results))
     else:
         print(report.render())
         if args.law is not None:
@@ -208,7 +200,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ClicError, OSError) as exc:
+    except (ClicError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

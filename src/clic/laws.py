@@ -27,7 +27,7 @@ from .semantics import satisfies
 from .validity import Counterexample, default_bounds, find_countermodel
 
 __all__ = [
-    "Fixture", "Law", "LawReport", "LawResult",
+    "COLUMNS", "Fixture", "Law", "LawReport", "LawResult",
     "catalog", "fixture_model", "instantiations", "replay_fixture",
     "run_laws",
 ]
@@ -411,6 +411,11 @@ def replay_fixture(law: Law) -> bool:
                for text, expected in fx.claims)
 
 
+# A result's fields, in the order `clic laws` shows them.
+COLUMNS = ("law", "expected", "observed", "instantiations", "models_checked",
+           "result")
+
+
 @dataclass(frozen=True)
 class LawResult:
     """One catalog entry's outcome under run_laws.
@@ -431,6 +436,12 @@ class LawResult:
     fixture_ok: bool | None
     elapsed: float
 
+    def row(self) -> tuple[str, ...]:
+        """The cells under COLUMNS."""
+        return (self.law_id, self.expected, self.observed,
+                str(self.instantiations), str(self.models_checked),
+                "PASS" if self.passed else "FAIL")
+
 
 @dataclass(frozen=True)
 class LawReport:
@@ -443,20 +454,11 @@ class LawReport:
 
     def render(self) -> str:
         """Plain-text table, one row per catalog entry."""
-        header = ("law", "expected", "observed", "instantiations",
-                  "models_checked", "result")
-        rows = [header]
-        for r in self.results:
-            rows.append((r.law_id, r.expected, r.observed,
-                         str(r.instantiations), str(r.models_checked),
-                         "PASS" if r.passed else "FAIL"))
-        widths = [max(len(row[i]) for row in rows)
-                  for i in range(len(header))]
-        lines = []
-        for row in rows:
-            lines.append("  ".join(cell.ljust(width)
-                                   for cell, width in zip(row, widths))
-                         .rstrip())
+        rows = [COLUMNS, *(r.row() for r in self.results)]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines = ["  ".join(cell.ljust(width)
+                           for cell, width in zip(row, widths)).rstrip()
+                 for row in rows]
         lines.insert(1, "  ".join("-" * width for width in widths))
         return "\n".join(lines)
 

@@ -295,18 +295,14 @@ def size_blocks(b: Bounds) -> Iterator[tuple[int, int, tuple[int, ...]]]:
                 yield n, n_states, sizes
 
 
-def _layout(n_states: int, sizes: tuple[int, ...], vary_all_states: bool):
-    """States, actions, state sets by bitmask, varying outcome slots and
-    fixed outcomes of one size block."""
+def _layout(n_states: int, sizes: tuple[int, ...]):
+    """States, actions, state sets by bitmask and complete profiles of
+    one size block."""
     states = tuple(f"s{k}" for k in range(1, n_states + 1))
     actions = tuple(tuple(f"a{j}" for j in range(1, m + 1)) for m in sizes)
     subsets = [frozenset(s for i, s in enumerate(states) if mask >> i & 1)
                for mask in range(1 << n_states)]
-    full = list(product(*actions))
-    varied = n_states if vary_all_states else 1
-    return (states, actions, subsets,
-            [(s, prof) for s in states[:varied] for prof in full],
-            {(s, prof): s for s in states[varied:] for prof in full})
+    return states, actions, subsets, list(product(*actions))
 
 
 def enumerate_models(b: Bounds) -> Iterator[CoalitionModel]:
@@ -322,8 +318,10 @@ def enumerate_models(b: Bounds) -> Iterator[CoalitionModel]:
     their evaluation at the initial state never reads other outcomes.
     """
     for n, n_states, sizes in size_blocks(b):
-        states, actions, subsets, slots, fixed = _layout(
-            n_states, sizes, b.vary_all_states)
+        states, actions, subsets, full = _layout(n_states, sizes)
+        varied = n_states if b.vary_all_states else 1
+        slots = [(s, prof) for s in states[:varied] for prof in full]
+        fixed = {(s, prof): s for s in states[varied:] for prof in full}
         for chosen in product(*([subsets] * len(b.props))):
             valuation = dict(zip(b.props, chosen))
             for targets in product(states, repeat=len(slots)):
@@ -331,20 +329,3 @@ def enumerate_models(b: Bounds) -> Iterator[CoalitionModel]:
                 outcome.update(zip(slots, targets))
                 yield CoalitionModel(n, states, actions, outcome,
                                      valuation, states[0])
-
-
-def block_model(b: Bounds, n_states: int, sizes: tuple[int, ...],
-                valuation: int, frame: int) -> CoalitionModel:
-    """The model enumerate_models yields as number valuation * frames +
-    frame of a size block: the valuation-th valuation with the frame-th
-    outcome assignment."""
-    states, actions, subsets, slots, fixed = _layout(
-        n_states, sizes, b.vary_all_states)
-    outcome = dict(fixed)
-    outcome.update(zip(slots, [states[frame // n_states ** i % n_states]
-                               for i in reversed(range(len(slots)))]))
-    width, k = len(subsets), len(b.props)
-    return CoalitionModel(
-        len(sizes), states, actions, outcome,
-        {p: subsets[valuation // width ** (k - 1 - j) % width]
-         for j, p in enumerate(b.props)}, states[0])

@@ -73,10 +73,10 @@ def check_truth_preservation(b: Bounds,
     Comparing both sides on the same engine would prove nothing: the
     engine already evaluates I[C] as the complement of E[C].  The
     engine's value for a frame holds every valuation at once, so the
-    grid runs frame by frame: model v * frames + f of a size block is
-    compared with bit v of the value for frame f.  Violations are
-    listed in that order: by size block, frame, valuation, formula and
-    state.
+    grid runs frame by frame: the engine rebuilds the model of
+    valuation v on the frame, and bit v of the frame's value is
+    compared with it.  Violations are listed in that order: by size
+    block, frame, valuation, formula and state.
     """
     if max_formula_depth < 0:
         raise BoundsTooSmall("no formulas below depth 0")
@@ -93,10 +93,10 @@ def check_truth_preservation(b: Bounds,
         bound = [(f, c(block)) for f, need, c in jobs
                  if need <= block.n_agents]
         total += len(bound) * block.n_models * block.n_states
-        for frame, fr in enumerate(block.frames()):
+        for fr in block.frames():
             row = [x if type(x) is tuple else x(fr) for _, x in bound]
             for v in range(block.full.bit_length()):
-                m = block.model(v, frame)
+                m = block.model(v, fr)
                 # One reference memo per model covers every subformula
                 # the stream has in common, which is most of it.
                 memo: dict[Formula, frozenset[str]] = {}

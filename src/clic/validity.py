@@ -14,8 +14,10 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from ._eval import blocks, compile_formula, first_failure
-from .errors import BoundsInsufficientForFormula
-from .formula import Formula, Iff, max_agent, modal_depth, propositions_of
+from .errors import BoundsInsufficientForFormula, ClicError
+from .formula import (
+    MAX_NESTING, Formula, Iff, max_agent, modal_depth, propositions_of, walk,
+)
 from .model import Bounds, CoalitionModel
 from .semantics import satisfies
 
@@ -96,17 +98,11 @@ def _search(f: Formula, b: Bounds) -> tuple[Verdict, int, int]:
     compiled = compile_formula(f, b.props)
     models_checked = states_checked = 0
     for block in blocks(b, max_agent(f)):
-        hit = first_failure(compiled, block)
-        valuation, frame, index = hit or (block.full.bit_length(), -1, -1)
-        # Models up to number valuation * frames + frame were checked:
-        # with no failure, the whole block.
-        checked = valuation * block.n_frames + frame + 1
+        checked, m, state = first_failure(compiled, block)
         models_checked += checked
         states_checked += checked * block.n_states
-        if hit is None:
+        if m is None:
             continue
-        m = block.model(valuation, frame)
-        state = m.states[index]
         if satisfies(m, state, f):
             raise RuntimeError(
                 "evaluation engines disagree on "
@@ -125,7 +121,12 @@ def find_countermodel(f: Formula, b: Bounds) -> Verdict:
     reproducible without any isomorphism reasoning.  Counterexamples
     are replayed through the reference semantics before being returned.
     """
-    return _search(f, b)[0]
+    try:
+        return _search(f, b)[0]
+    except RecursionError:      # only an AST built in code gets this deep
+        if max(d for _, d in walk(f, Formula)) <= MAX_NESTING:
+            raise
+        raise ClicError("formula nested too deeply to evaluate") from None
 
 
 def check_equivalence(f: Formula, g: Formula, b: Bounds) -> Verdict:

@@ -71,6 +71,7 @@ def test_criterion_2_fixture_regression():
     assert not satisfies(pennies, "s", parse_formula("E[2] !p"))
 
 
+@pytest.mark.slow
 def test_criterion_3_translation_oracle():
     """Eliminating inability never changes a truth value on the grid."""
     start = time.perf_counter()
@@ -162,6 +163,7 @@ def test_criterion_6_witness_soundness():
     assert returned == verified == 45_344
 
 
+@pytest.mark.slow
 def test_criterion_7_round_trip_properties():
     """Print then parse is the identity for formulas and models."""
     count = 0

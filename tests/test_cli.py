@@ -104,6 +104,17 @@ def test_check_missing_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_check_non_utf8_file_is_usage_error(tmp_path):
+    path = tmp_path / "bad.clm"
+    path.write_bytes(M1.encode() + b"# \xff\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "clic.cli", "check", str(path), "p"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_translate(capsys):
     code, out, _ = run(capsys, "translate", "I[](I[1]q)")
     assert code == 0

@@ -23,8 +23,8 @@ def _indexed(b):
     for block in blocks(b):
         frames = list(block.frames())
         for v in range(block.full.bit_length()):
-            for number, fr in enumerate(frames):
-                out.append((block, v, fr, block.model(v, number)))
+            for fr in frames:
+                out.append((block, v, fr, block.model(v, fr)))
     return out
 
 

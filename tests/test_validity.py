@@ -1,11 +1,12 @@
 """Bounded countermodel search."""
 
+import sys
 from itertools import product
 
 import pytest
 
 from clic import (
-    Bounds, BoundsInsufficientForFormula, Counterexample,
+    Bounds, BoundsInsufficientForFormula, ClicError, Counterexample,
     NoCounterexampleWithinBounds, check_equivalence, default_bounds,
     find_countermodel, minimal_countermodel, parse_formula, parse_model,
     print_model, satisfies,
@@ -176,6 +177,38 @@ def test_deep_formula_searches_without_limits():
     assert isinstance(v, Counterexample)
     assert v.state == "s1"
     assert v.models_checked == 1
+
+
+@pytest.mark.parametrize("levels", [600, 1200])
+def test_too_deep_formula_is_an_error_not_a_crash(levels):
+    """Past a few hundred levels the engine or the replay runs out of
+    stack; an AST that deep is reported as a ClicError."""
+    from clic import Ability, Atom, Coalition
+    f = Atom("p")
+    for _ in range(levels):
+        f = Ability(Coalition((1,)), f)
+    with pytest.raises(ClicError, match="nested too deeply"):
+        find_countermodel(f, Bounds(1, 1, 1, ("p",), True))
+
+
+def test_shallow_formula_never_reports_nesting():
+    """A stack exhausted by the caller is not blamed on a shallow
+    formula: searching at every depth works or raises RecursionError."""
+    from clic import Ability, Atom, Coalition
+    f = Atom("p")
+    for _ in range(20):
+        f = Ability(Coalition((1,)), f)
+    b = Bounds(1, 1, 1, ("p",), True)
+
+    def search_at(depth):
+        return search_at(depth - 1) if depth else find_countermodel(f, b)
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        try:
+            assert isinstance(search_at(depth), Counterexample)
+            break
+        except RecursionError:
+            pass
+    assert depth > 0
 
 
 def test_nested_modalities_cost_one_body_value_per_frame():
