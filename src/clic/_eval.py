@@ -93,8 +93,9 @@ class ModelContext:
         self.choices = [
             range(rows) if b.vary_all_states or i == 0
             else (i * (rows - 1) // (n_states - 1),) for i in range(n_states)]
+        self.n_valuations = self.full.bit_length()
         self.n_frames = prod(map(len, self.choices))
-        self.n_models = self.full.bit_length() * self.n_frames
+        self.n_models = self.n_valuations * self.n_frames
         # Modal subformulas over modality-free bodies, keyed by coalition,
         # negation and body: instances of one scheme share most of them.
         self.memo: dict = {}
@@ -106,10 +107,9 @@ class ModelContext:
     def model(self, valuation: int, fr: tuple[int, ...]) -> CoalitionModel:
         """Valuation `valuation` on frame `fr`; digit j of a row, base
         n_states, is the state's target under complete profile j."""
-        n, props = self.n_states, self.bounds.props
+        n, props, width = self.n_states, self.bounds.props, 1 << self.n_states
         states, actions, subsets, full = _layout(n, self.sizes)
-        width, k = len(subsets), len(full)
-        outcome = {(s, prof): states[r // n ** (k - 1 - j) % n]
+        outcome = {(s, prof): states[r // n ** (len(full) - 1 - j) % n]
                    for s, r in zip(states, fr) for j, prof in enumerate(full)}
         return CoalitionModel(
             len(self.sizes), states, actions, outcome,

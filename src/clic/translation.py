@@ -95,7 +95,7 @@ def check_truth_preservation(b: Bounds,
         total += len(bound) * block.n_models * block.n_states
         for fr in block.frames():
             row = [x if type(x) is tuple else x(fr) for _, x in bound]
-            for v in range(block.full.bit_length()):
+            for v in range(block.n_valuations):
                 m = block.model(v, fr)
                 # One reference memo per model covers every subformula
                 # the stream has in common, which is most of it.

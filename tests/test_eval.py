@@ -22,7 +22,7 @@ def _indexed(b):
     out = []
     for block in blocks(b):
         frames = list(block.frames())
-        for v in range(block.full.bit_length()):
+        for v in range(block.n_valuations):
             for fr in frames:
                 out.append((block, v, fr, block.model(v, fr)))
     return out
