@@ -11,8 +11,8 @@ from .errors import (
 )
 from .formula import (
     Ability, And, Atom, Bot, Coalition, Formula, Iff, Implies, Inability,
-    Not, Or, Top, ast_dump, enumerate_formulas, max_agent, modal_depth,
-    parse_formula, print_formula, propositions_of,
+    Not, Or, Top, ast_dump, enumerate_formulas, guard_nesting, max_agent,
+    modal_depth, parse_formula, print_formula, propositions_of,
 )
 from .model import (
     ActionProfile, Bounds, CoalitionModel, apply, complement,
@@ -33,6 +33,9 @@ from .laws import (
     Fixture, Law, LawReport, LawResult, catalog, fixture_model,
     instantiations, replay_fixture, run_laws,
 )
+
+# Report a too-deep AST as ClicError; `semantics` keeps the bare clauses.
+satisfies = guard_nesting(satisfies)
 
 __all__ = [
     "Ability", "And", "Atom", "Bot", "Coalition", "Formula", "Iff",

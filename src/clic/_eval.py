@@ -4,15 +4,21 @@ Only this module numbers a size block's models and rebuilds them.  A
 frame (outcome function) is the tuple of its states' outcome rows, and
 model v * n_frames + f of a block of `enumerate_models` pairs valuation
 v with frame number f: `ModelContext.model` rebuilds it from v and the
-frame, and `first_failure` counts the models a scan checked.  The engine
-streams each block's frames once and evaluates all valuations of a frame
-together: a value is a tuple with one int per state whose bit v is the
-truth there under valuation v.  E[C] g at s is the OR, over the minimal
+frame, and `first_failure` counts the models a scan checked.  All
+valuations are evaluated at once in lane vectors: ints whose bit v is
+the truth under valuation v.  E[C] g at s is the OR, over the minimal
 state sets C's joint actions reach from s, of the AND of g over each
 set, and I[C] g is its complement.
 
 A formula takes its value in a block in one recursive walk of its AST,
-dispatched on node type as in `semantics.extension`; nothing is compiled.
+dispatched on node type as in `semantics.extension`.  The value's type
+gives its form: a constant (tuple) holds a lane vector per state, for a
+modality-free formula; a per-row table (`Table`) holds, per state, one
+per entry of `block.choices[s]`, up to modal depth 1, as a modality over
+a constant depends on its state's row only; a frame function maps a frame
+to lane vectors, above a modality over a non-constant body.
+`first_failure` reads a constant's or a table's first failure off the
+table, and walks frames for a frame function only.
 
 Everything here is internal: callers replay what it finds through the
 reference clauses in `semantics`.
@@ -20,15 +26,14 @@ reference clauses in `semantics`.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from itertools import islice, product
+from functools import lru_cache, partial, reduce
+from itertools import chain, product, repeat
 from math import prod
-from operator import and_, or_, xor
+from operator import and_, getitem, mod, or_, xor
 from typing import Iterator
 
 from .formula import (
     Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
-    propositions_of,
 )
 from .model import Bounds, CoalitionModel, _layout, size_blocks
 
@@ -76,6 +81,10 @@ def _reach(g: tuple[int, ...], sets: tuple[tuple[int, ...], ...]) -> int:
     return reduce(or_, [reduce(and_, map(g.__getitem__, s)) for s in sets])
 
 
+# A per-row table: per state s, a lane vector per entry of block.choices[s].
+Table = list
+
+
 class ModelContext:
     """The evaluation context of one size block of a model space: its
     frames, its valuation lanes and its reach sets per outcome row."""
@@ -87,6 +96,7 @@ class ModelContext:
         self.columns = _columns(n_states, sizes)
         self.atoms, self.full = _lanes(n_states, len(b.props))
         self.top, self.bot = (self.full,) * n_states, (0,) * n_states
+        self.ones = repeat(self.full)
         # A frame picks a row per state.  Unless all states vary, state i > 0
         # loops to itself: row (i, ..., i), number i*(rows-1)/(n_states-1).
         rows = len(self.columns[0])
@@ -96,13 +106,19 @@ class ModelContext:
         self.n_valuations = self.full.bit_length()
         self.n_frames = prod(map(len, self.choices))
         self.n_models = self.n_valuations * self.n_frames
-        # Modal subformulas over modality-free bodies, keyed by coalition,
+        # Tables of modalities over constant bodies, keyed by coalition,
         # negation and body: instances of one scheme share most of them.
         self.memo: dict = {}
 
     def frames(self) -> Iterator[tuple[int, ...]]:
         """Every frame, in enumeration order."""
         return product(*self.choices)
+
+    def at(self, value, fr: tuple[int, ...]) -> tuple[int, ...]:
+        """A value's lane vector per state in frame fr."""
+        if type(value) is Table:    # row r is choice r, or the only one
+            return tuple(map(getitem, value, map(mod, fr, map(len, value))))
+        return value if type(value) is tuple else value(fr)
 
     def model(self, valuation: int, fr: tuple[int, ...]) -> CoalitionModel:
         """Valuation `valuation` on frame `fr`; digit j of a row, base
@@ -129,20 +145,20 @@ def blocks(b: Bounds, min_agents: int = 1) -> Iterator[ModelContext]:
 
 
 # ---------------------------------------------------------------------------
-# A formula's value in a block is its lane vectors if no modality lies
-# below, else a function from frames to them, built in one pass.
+# A formula's value in a block, in one pass.  The operators take `ones`,
+# an endless run of the full lane mask, so they serve states and rows alike.
 
 _OPS = {
-    And: lambda top, x, y: tuple(map(and_, x, y)),
-    Or: lambda top, x, y: tuple(map(or_, x, y)),
-    Implies: lambda top, x, y: tuple(map(or_, map(xor, top, x), y)),
-    Iff: lambda top, x, y: tuple(map(xor, top, map(xor, x, y))),
+    And: lambda ones, x, y: tuple(map(and_, x, y)),
+    Or: lambda ones, x, y: tuple(map(or_, x, y)),
+    Implies: lambda ones, x, y: tuple(map(or_, map(xor, ones, x), y)),
+    Iff: lambda ones, x, y: tuple(map(xor, ones, map(xor, x, y))),
 }
 
 
 def _bind(g: Formula, block: ModelContext):
     kind = type(g)
-    if kind is Atom:
+    if kind is Atom:            # ValueError if not among the props
         return block.atoms[block.bounds.props.index(g.name)]
     if kind is Top:
         return block.top
@@ -152,61 +168,77 @@ def _bind(g: Formula, block: ModelContext):
         c, x = g.coalition.bitmask(), _bind(g.body, block)
         column, flip = block.columns[c], block.full if kind is Inability else 0
         if type(x) is not tuple:
+            at = block.at
+
             def value(fr):      # the body once per frame, not per state
-                y = x(fr)
+                y = at(x, fr)
                 return tuple([flip ^ _reach(y, column[r]) for r in fr])
             return value
         key = c, flip, x        # the value at s depends on s's row only
-        value = block.memo.get(key)
-        if value is None:
+        table = block.memo.get(key)
+        if table is None:
             if len(block.memo) > 4096:
                 block.memo.clear()
             get = [flip ^ _reach(x, sets) for sets in column].__getitem__
-            value = block.memo[key] = lambda fr: tuple(map(get, fr))
-        return value
-    top = block.top
-    if kind is Not:
-        x = _bind(g.body, block)
-        if type(x) is tuple:
-            return tuple(map(xor, top, x))
-        return lambda fr: tuple(map(xor, top, x(fr)))
-    if kind not in _OPS:
+            table = block.memo[key] = Table(
+                tuple(map(get, ch)) for ch in block.choices)
+        return table
+    if kind is Not:             # !x is x -> false
+        op, x, y = _OPS[Implies], _bind(g.body, block), block.bot
+    elif kind in _OPS:
+        op, x, y = _OPS[kind], _bind(g.left, block), _bind(g.right, block)
+    else:
         raise TypeError(f"not a formula: {g!r}")
-    op, x, y = _OPS[kind], _bind(g.left, block), _bind(g.right, block)
+    ones = block.ones
     if type(x) is tuple and type(y) is tuple:
-        return op(top, x, y)
-    fx = (lambda fr: x) if type(x) is tuple else x
-    fy = (lambda fr: y) if type(y) is tuple else y
-    return lambda fr: op(top, fx(fr), fy(fr))
+        return op(ones, x, y)
+    if callable(x) or callable(y):
+        return lambda fr: op(ones, block.at(x, fr), block.at(y, fr))
+    # Tables, or a table and a constant, whose vector fits any row count.
+    return Table(map(partial(op, ones), *(
+        z if type(z) is Table else map(repeat, z) for z in (x, y))))
 
 
 def compile_formula(f: Formula, props: tuple[str, ...]):
-    """f as a function of any block over `props` with max_agent(f)+ agents."""
-    if missing := set(propositions_of(f)).difference(props):
-        raise ValueError(f"atoms {sorted(missing)} not among props {props}")
+    """f as a function of any block over `props` with max_agent(f)+
+    agents; binding it raises ValueError on an atom outside `props`."""
     return lambda block: _bind(f, block)
 
 
 def first_failure(compiled, block: ModelContext
                   ) -> tuple[int, CoalitionModel | None, str | None]:
     """(models checked, model, state) for the block's first failing
-    model: the lowest failing lane, its earliest frame, and the lowest
+    model: the lowest failing lane v, its earliest frame, and the lowest
     state.  With no failure: (block.n_models, None, None)."""
-    value, frames = compiled(block), block.frames()
-    if type(value) is tuple:    # the same in every frame: check the first
-        value, frames = (lambda fr, got=value: got), islice(frames, 1)
-    best, lanes, top = None, block.full, block.top
-    for number, fr in enumerate(frames):
-        got = value(fr)
-        if got != top:
-            miss = lanes & ~reduce(and_, got)
-            if miss:
-                best, lanes = (got, number, fr), (miss & -miss) - 1
-                if not lanes:
-                    break
-    if best is None:
-        return block.n_models, None, None
-    (got, number, fr), v = best, lanes.bit_length()     # the lowest miss
+    value, choices = compiled(block), block.choices
+    if callable(value):         # walk the frames
+        found, lanes, top = None, block.full, block.top
+        for number, fr in enumerate(block.frames()):
+            got = value(fr)
+            if got != top:
+                miss = lanes & ~reduce(and_, got)
+                if miss:
+                    found, lanes = (number, fr, got), (miss & -miss) - 1
+                    if not lanes:
+                        break
+        if found is None:
+            return block.n_models, None, None
+        (number, fr, got), v = found, lanes.bit_length()
+        k = next(s for s, x in enumerate(got) if not x >> v & 1)
+    else:
+        table = value if type(value) is Table else [(x,) for x in value]
+        miss = block.full ^ reduce(and_, chain.from_iterable(table))
+        if not miss:
+            return block.n_models, None, None
+        v = (miss & -miss).bit_length() - 1
+        # Per state, its first choice failing at v.  The earliest failing
+        # frame is 0 if one is 0, else the highest state's choice alone.
+        firsts = [next((j for j, x in enumerate(xs) if not x >> v & 1),
+                       None) for xs in table]
+        k = firsts.index(0) if 0 in firsts else max(
+            s for s, j in enumerate(firsts) if j)
+        number = firsts[k] * prod(map(len, choices[k + 1:]))
+        fr = tuple(ch[firsts[k] if s == k else 0]
+                   for s, ch in enumerate(choices))
     m = block.model(v, fr)
-    return (v * block.n_frames + number + 1, m,
-            next(s for s, x in zip(m.states, got) if not x >> v & 1))
+    return v * block.n_frames + number + 1, m, m.states[k]

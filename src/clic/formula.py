@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import wraps
 from typing import Iterator, Sequence
 
-from .errors import DuplicateAgentInCoalition, ParseError
+from .errors import ClicError, DuplicateAgentInCoalition, ParseError
 
 __all__ = [
     "Formula", "Atom", "Top", "Bot", "Not", "And", "Or", "Implies", "Iff",
@@ -169,6 +170,23 @@ PREC_UNARY = 5
 MAX_NESTING = 100
 
 
+def guard_nesting(fn):
+    """fn, reporting a RecursionError as ClicError when its formula
+    argument is higher than MAX_NESTING; otherwise it propagates."""
+    @wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:  # only an AST built in code gets this deep
+            f = next(a for a in (*args, *kwargs.values())
+                     if isinstance(a, Formula))
+            if max(d for _, d in walk(f, Formula)) <= MAX_NESTING:
+                raise
+            raise ClicError("formula nested too deeply to evaluate") from None
+    return guarded
+
+
+@guard_nesting
 def print_formula(f: Formula) -> str:
     """Concrete syntax with the minimal parenthesization the grammar allows."""
     return _print(f, PREC_IFF)
@@ -347,21 +365,28 @@ def walk(f: Formula, counted=(Ability, Inability)
             stack += [(g.right, depth), (g.left, depth)]
 
 
+def measures(f: Formula) -> tuple[int, set[str], int]:
+    """(max_agent, atoms, modal_depth) of f, in one walk."""
+    nodes = list(walk(f))
+    modal = [(g, d) for g, d in nodes if isinstance(g, (Ability, Inability))]
+    return (max((g.coalition.max_agent() for g, _ in modal), default=0),
+            {g.name for g, _ in nodes if type(g) is Atom},
+            max((d + 1 for _, d in modal), default=0))
+
+
 def modal_depth(f: Formula) -> int:
     """Deepest nesting of E/I operators; 0 for purely Boolean formulas."""
-    return max(depth + isinstance(g, (Ability, Inability))
-               for g, depth in walk(f))
+    return measures(f)[2]
 
 
 def propositions_of(f: Formula) -> tuple[str, ...]:
     """All atoms occurring in f, sorted and without duplicates."""
-    return tuple(sorted({g.name for g, _ in walk(f) if type(g) is Atom}))
+    return tuple(sorted(measures(f)[1]))
 
 
 def max_agent(f: Formula) -> int:
     """Largest agent index named by any coalition in f, 0 if none."""
-    return max((g.coalition.max_agent() for g, _ in walk(f)
-                if isinstance(g, (Ability, Inability))), default=0)
+    return measures(f)[0]
 
 
 # ---------------------------------------------------------------------------

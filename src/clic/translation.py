@@ -14,7 +14,7 @@ from ._eval import blocks, compile_formula
 from .errors import BoundsInsufficientForFormula, BoundsTooSmall
 from .formula import (
     Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
-    enumerate_formulas, max_agent, walk,
+    enumerate_formulas, guard_nesting, max_agent, walk,
 )
 from .model import Bounds, CoalitionModel
 from .semantics import extension
@@ -25,18 +25,23 @@ __all__ = [
 ]
 
 
+@guard_nesting
 def translate(f: Formula) -> Formula:
     """Rewrite I[C] g to !E[C] g, recursively; everything else maps as is."""
+    return _translate(f)
+
+
+def _translate(f: Formula) -> Formula:
     if isinstance(f, (Atom, Top, Bot)):
         return f
     if isinstance(f, Not):
-        return Not(translate(f.body))
+        return Not(_translate(f.body))
     if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(translate(f.left), translate(f.right))
+        return type(f)(_translate(f.left), _translate(f.right))
     if isinstance(f, Ability):
-        return Ability(f.coalition, translate(f.body))
+        return Ability(f.coalition, _translate(f.body))
     if isinstance(f, Inability):
-        return Not(Ability(f.coalition, translate(f.body)))
+        return Not(Ability(f.coalition, _translate(f.body)))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -71,10 +76,10 @@ def check_truth_preservation(b: Bounds,
     clauses and the translated one through the frame-major engine, so
     agreement also cross-checks the two evaluators against each other.
     Comparing both sides on the same engine would prove nothing: the
-    engine already evaluates I[C] as the complement of E[C].  The
-    engine's value for a frame holds every valuation at once, so the
-    grid runs frame by frame: the engine rebuilds the model of
-    valuation v on the frame, and bit v of the frame's value is
+    engine already evaluates I[C] as the complement of E[C].  The grid
+    runs frame by frame: `block.at` reads a value's lane vectors in the
+    frame (a per-row table by each state's row choice), the engine
+    rebuilds the model of valuation v on the frame, and bit v is
     compared with it.  Violations are listed in that order: by size
     block, frame, valuation, formula and state.
     """
@@ -94,7 +99,7 @@ def check_truth_preservation(b: Bounds,
                  if need <= block.n_agents]
         total += len(bound) * block.n_models * block.n_states
         for fr in block.frames():
-            row = [x if type(x) is tuple else x(fr) for _, x in bound]
+            row = [block.at(x, fr) for _, x in bound]
             for v in range(block.n_valuations):
                 m = block.model(v, fr)
                 # One reference memo per model covers every subformula

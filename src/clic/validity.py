@@ -14,10 +14,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from ._eval import blocks, compile_formula, first_failure
-from .errors import BoundsInsufficientForFormula, ClicError
-from .formula import (
-    MAX_NESTING, Formula, Iff, max_agent, modal_depth, propositions_of, walk,
-)
+from .errors import BoundsInsufficientForFormula
+from .formula import Formula, Iff, guard_nesting, measures
 from .model import Bounds, CoalitionModel
 from .semantics import satisfies
 
@@ -72,20 +70,22 @@ class NoCounterexampleWithinBounds:
 Verdict = Counterexample | NoCounterexampleWithinBounds
 
 
-def _require_searchable(f: Formula, b: Bounds) -> None:
-    need = max_agent(f)
+def _require_searchable(f: Formula, b: Bounds) -> int:
+    """Raise unless b can search f; return max_agent(f)."""
+    need, atoms, depth = measures(f)
     if need > b.max_agents:
         raise BoundsInsufficientForFormula(
             f"formula mentions agent {need} but bounds allow "
             f"{b.max_agents}")
-    missing = set(propositions_of(f)) - set(b.props)
+    missing = atoms.difference(b.props)
     if missing:
         raise BoundsInsufficientForFormula(
             f"bounds do not vary atoms {sorted(missing)}")
-    if modal_depth(f) >= 2 and not b.vary_all_states:
+    if depth >= 2 and not b.vary_all_states:
         raise BoundsInsufficientForFormula(
             "nested modalities need vary_all_states=True: without it the "
             "search only varies outcomes at initial states")
+    return need
 
 
 def _search(f: Formula, b: Bounds) -> tuple[Verdict, int, int]:
@@ -94,10 +94,10 @@ def _search(f: Formula, b: Bounds) -> tuple[Verdict, int, int]:
     Models with fewer agents than f mentions cannot interpret f and are
     skipped without being counted.
     """
-    _require_searchable(f, b)
+    need = _require_searchable(f, b)
     compiled = compile_formula(f, b.props)
     models_checked = states_checked = 0
-    for block in blocks(b, max_agent(f)):
+    for block in blocks(b, need):
         checked, m, state = first_failure(compiled, block)
         models_checked += checked
         states_checked += checked * block.n_states
@@ -113,6 +113,7 @@ def _search(f: Formula, b: Bounds) -> tuple[Verdict, int, int]:
             models_checked, states_checked)
 
 
+@guard_nesting
 def find_countermodel(f: Formula, b: Bounds) -> Verdict:
     """First countermodel of f in canonical order, or exhaustion.
 
@@ -121,12 +122,7 @@ def find_countermodel(f: Formula, b: Bounds) -> Verdict:
     reproducible without any isomorphism reasoning.  Counterexamples
     are replayed through the reference semantics before being returned.
     """
-    try:
-        return _search(f, b)[0]
-    except RecursionError:      # only an AST built in code gets this deep
-        if max(d for _, d in walk(f, Formula)) <= MAX_NESTING:
-            raise
-        raise ClicError("formula nested too deeply to evaluate") from None
+    return _search(f, b)[0]
 
 
 def check_equivalence(f: Formula, g: Formula, b: Bounds) -> Verdict:

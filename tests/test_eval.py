@@ -2,14 +2,18 @@
 
 from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from clic import (
-    Atom, Bounds, Coalition, Counterexample, Not, apply, complement,
-    default_bounds, enumerate_formulas, enumerate_models, extension,
-    max_agent, modal_depth, profiles, propositions_of,
+    Ability, And, Atom, Bounds, Coalition, Counterexample, Inability, Not,
+    apply, complement, default_bounds, enumerate_formulas, enumerate_models,
+    extension, max_agent, modal_depth, parse_formula, profiles,
+    propositions_of,
 )
-from clic._eval import ModelContext, _columns, blocks, compile_formula
+from clic._eval import (
+    ModelContext, Table, _columns, blocks, compile_formula, first_failure,
+)
 from clic.validity import _search
 
 PROPS = ("p", "q")
@@ -58,9 +62,7 @@ def test_blocks_rebuild_enumerate_models():
 def test_engines_agree(entry, f):
     block, v, fr, m = entry
     assume(max_agent(f) <= m.n_agents)
-    value = compile_formula(f, PROPS)(block)
-    if type(value) is not tuple:
-        value = value(fr)
+    value = block.at(compile_formula(f, PROPS)(block), fr)
     got = sum((x >> v & 1) << i for i, x in enumerate(value))
     assert got == bitmask(m, f)
 
@@ -90,6 +92,23 @@ def test_tracer_seams_exist():
     verdict, models, states = _search(Atom("p"), SPACE)
     assert isinstance(verdict, Counterexample)
     assert models == verdict.models_checked and states >= models
+    # The tracer wraps the compiled callable in a plain function, so the
+    # engine must pick its path from the value, not from the callable.
+    block = list(blocks(SPACE))[-1]
+    for text, form in (("p & !q", tuple), ("E[1] p -> I[2] q", Table),
+                       ("E[1] I[2] p -> p", None)):
+        compiled = compile_formula(parse_formula(text), PROPS)
+        value = compiled(block)
+        assert type(value) is form if form else callable(value)
+        got = first_failure(compiled, block)
+        assert first_failure(lambda block: compiled(block), block) == got
+        assert got[1] is not None, text
+
+
+def test_unknown_atom_is_rejected_when_bound():
+    compiled = compile_formula(Atom("r"), PROPS)
+    with pytest.raises(ValueError):
+        compiled(next(blocks(SPACE)))
 
 
 def _minimal(sets):
@@ -168,3 +187,33 @@ def test_search_matches_oracle(case, negate):
     else:
         assert (verdict.models_checked, verdict.states_checked) == (
             models, states)
+
+
+def test_tables_match_oracle_exhaustively():
+    """Every depth-1 formula over p, the conjunctions of an E and an I
+    over p, and their negations, searched through per-row tables against
+    the plain loop over enumerate_models, with every state varying and
+    with only the initial one."""
+    flat = list(enumerate_formulas(("p",), 2, 1))
+    p = Atom("p")
+    pairs = [And(e, i) for e in flat if type(e) is Ability and e.body == p
+             for i in flat if type(i) is Inability and i.body == p]
+    later = 0   # failures at a state after s1, in a frame after the first
+    for b in (Bounds(2, 2, 2, ("p",), True), Bounds(2, 2, 2, ("p",))):
+        first = {(x.n_agents, x.n_states, x.sizes):
+                 tuple(ch[0] for ch in x.choices) for x in blocks(b)}
+        for f in flat + pairs:
+            for g in (f, Not(f)):
+                verdict, models, states = _search(g, b)
+                hit, want_models, want_states = oracle(g, b)
+                assert (models, states) == (want_models, want_states), g
+                assert isinstance(verdict, Counterexample) == (
+                    hit is not None), g
+                if hit is None:
+                    continue
+                m, s = hit
+                assert (verdict.model, verdict.state) == (m, s), g
+                key = (m.n_agents, len(m.states), tuple(map(len, m.actions)))
+                frame = tuple(_row(m, t) for t in m.states)
+                later += s != "s1" and frame != first[key]
+    assert later

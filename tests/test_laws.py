@@ -1,12 +1,15 @@
 """Catalog of structural laws and its runner."""
 
+from itertools import product
+from math import prod
+
 import pytest
 
 from clic import (
     Bounds, BoundsInsufficientForFormula, Counterexample, FixtureMissing,
     Law, NoCounterexampleWithinBounds,
     catalog, check_equivalence, default_bounds, find_countermodel,
-    fixture_model, instantiations, parse_formula, print_formula,
+    fixture_model, instantiations, max_agent, parse_formula, print_formula,
     replay_fixture, run_laws, satisfies,
 )
 
@@ -208,3 +211,66 @@ def test_valid_law_the_bounds_cannot_search_raises():
     assert not b.vary_all_states
     with pytest.raises(BoundsInsufficientForFormula):
         run_laws(b, [law])
+
+
+# Per row at default_bounds(vary_all_states=True): instantiations and
+# models checked.  The invalid rows' counts match the frame-by-frame
+# search; the valid rows' follow from the size of the space.
+ALL_STATES = {
+    "anti-monotonicity": (72, 2457229632),
+    "upward-propagation": (1, 146),
+    "subadditivity": (128, 4367888640),
+    "superadditivity-for-inability": (1, 1623),
+    "contravariance": (512, 17477789696),
+    "covariance": (1, 3),
+    "absorption": (256, 8738894848),
+    "conjunction-downward": (256, 8738894848),
+    "conjunction-upward": (1, 170),
+    "disjunction-upward": (256, 8738894848),
+    "disjunction-downward": (1, 48890),
+    "implication-distribution": (256, 8738894848),
+    "implication-converse": (1, 48890),
+    "excluded-middle": (1, 138),
+    "exclusivity": (1, 1),
+    "symmetry": (1, 1),
+    "complementarity": (1, 1),
+    "opponent-ability": (1, 1623),
+    "grand-coalition-duality": (8, 272895616),
+    "empty-coalition-duality": (8, 272895616),
+    "contradiction": (4, 136545232),
+    "truth": (4, 136545232),
+    "axiom-truth": (4, 136545232),
+    "axiom-no-contradiction": (4, 136545232),
+    "axiom-superadditivity": (576, 19657837056),
+    "axiom-grand-coalition": (8, 272895616),
+    "inability-definition": (32, 1092361856),
+    "ability-distribution": (66, 2220443298),
+    "strategic-impotence": (1, 48858),
+}
+
+
+def _space(b, need):
+    """Models in b with at least `need` agents: over blocks, 2**(|S|*k)
+    valuations times |S|**(|S|*profiles) outcome functions."""
+    total = 0
+    for n in range(max(need, 1), b.max_agents + 1):
+        for states in range(1, b.max_states + 1):
+            for sizes in product(range(1, b.max_actions_per_agent + 1),
+                                 repeat=n):
+                total += (2 ** (states * len(b.props))
+                          * states ** (states * prod(sizes)))
+    return total
+
+
+def test_catalog_with_every_state_varying():
+    b = default_bounds(vary_all_states=True)
+    report = run_laws(b)
+    assert report.passed
+    got = {r.law_id: (r.instantiations, r.models_checked)
+           for r in report.results}
+    assert got == ALL_STATES
+    for law in catalog():
+        if law.expected == "valid":
+            assert ALL_STATES[law.id][1] == sum(
+                _space(b, max_agent(f))
+                for f in instantiations(law, b.max_agents, b.props))

@@ -211,6 +211,53 @@ def test_shallow_formula_never_reports_nesting():
     assert depth > 0
 
 
+def _entry_points():
+    from clic import fixture_model, print_formula, translate
+    m = fixture_model("m1")
+    return {"satisfies": lambda f: satisfies(m, m.initial, f),
+            "translate": translate, "print_formula": print_formula}
+
+
+@pytest.mark.parametrize("name", ["satisfies", "translate", "print_formula"])
+@pytest.mark.parametrize("levels", [600, 1200])
+def test_too_deep_formula_elsewhere_is_an_error_not_a_crash(name, levels):
+    """The other entry points follow find_countermodel's rule: a deep AST
+    that exhausts the stack is a ClicError, and one that fits works."""
+    from clic import Ability, Atom, Coalition
+    f = Atom("p")
+    for _ in range(levels):
+        f = Ability(Coalition((1,)), f)
+    call = _entry_points()[name]
+    if levels > sys.getrecursionlimit():
+        with pytest.raises(ClicError, match="nested too deeply"):
+            call(f)
+    else:
+        try:
+            call(f)
+        except ClicError as err:
+            assert "nested too deeply" in str(err)
+
+
+@pytest.mark.parametrize("name", ["satisfies", "translate", "print_formula"])
+def test_shallow_formula_elsewhere_never_reports_nesting(name):
+    """A stack the caller exhausted is not blamed on a shallow formula."""
+    from clic import Ability, Atom, Coalition
+    f = Atom("p")
+    for _ in range(20):
+        f = Ability(Coalition((1,)), f)
+    call = _entry_points()[name]
+
+    def call_at(depth):
+        return call_at(depth - 1) if depth else call(f)
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        try:
+            call_at(depth)
+            break
+        except RecursionError:
+            pass
+    assert depth > 0
+
+
 def test_nested_modalities_cost_one_body_value_per_frame():
     """Thirty nested E[1] over a tautology, scanned over 2-state frames:
     evaluating a modality's body once per state instead of once per
