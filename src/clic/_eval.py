@@ -8,7 +8,8 @@ frame, and `first_failure` counts the models a scan checked.  All
 valuations are evaluated at once in lane vectors: ints whose bit v is
 the truth under valuation v.  E[C] g at s is the OR, over the minimal
 state sets C's joint actions reach from s, of the AND of g over each
-set, and I[C] g is its complement.
+set, and I[C] g is its complement.  A block is cached by what it is
+(props, vary_all_states, n_states, sizes), not by the bounds around it.
 
 A formula takes its value in a block in one recursive walk of its AST,
 dispatched on node type as in `semantics.extension`.  The value's type
@@ -89,19 +90,19 @@ class ModelContext:
     """The evaluation context of one size block of a model space: its
     frames, its valuation lanes and its reach sets per outcome row."""
 
-    def __init__(self, b: Bounds, n_agents: int, n_states: int,
-                 sizes: tuple[int, ...]):
-        self.bounds, self.sizes = b, sizes
-        self.n_agents, self.n_states = n_agents, n_states
+    def __init__(self, props: tuple[str, ...], vary_all_states: bool,
+                 n_states: int, sizes: tuple[int, ...]):
+        self.props, self.sizes = props, sizes
+        self.n_agents, self.n_states = len(sizes), n_states
         self.columns = _columns(n_states, sizes)
-        self.atoms, self.full = _lanes(n_states, len(b.props))
+        self.atoms, self.full = _lanes(n_states, len(props))
         self.top, self.bot = (self.full,) * n_states, (0,) * n_states
         self.ones = repeat(self.full)
         # A frame picks a row per state.  Unless all states vary, state i > 0
         # loops to itself: row (i, ..., i), number i*(rows-1)/(n_states-1).
         rows = len(self.columns[0])
         self.choices = [
-            range(rows) if b.vary_all_states or i == 0
+            range(rows) if vary_all_states or i == 0
             else (i * (rows - 1) // (n_states - 1),) for i in range(n_states)]
         self.n_valuations = self.full.bit_length()
         self.n_frames = prod(map(len, self.choices))
@@ -123,7 +124,7 @@ class ModelContext:
     def model(self, valuation: int, fr: tuple[int, ...]) -> CoalitionModel:
         """Valuation `valuation` on frame `fr`; digit j of a row, base
         n_states, is the state's target under complete profile j."""
-        n, props, width = self.n_states, self.bounds.props, 1 << self.n_states
+        n, props, width = self.n_states, self.props, 1 << self.n_states
         states, actions, subsets, full = _layout(n, self.sizes)
         outcome = {(s, prof): states[r // n ** (len(full) - 1 - j) % n]
                    for s, r in zip(states, fr) for j, prof in enumerate(full)}
@@ -139,9 +140,9 @@ _block = lru_cache(maxsize=256)(ModelContext)
 def blocks(b: Bounds, min_agents: int = 1) -> Iterator[ModelContext]:
     """The blocks of b in order, skipping narrow ones; each is built
     when reached, so an early stop skips the reach sets of the rest."""
-    for key in size_blocks(b):
-        if key[0] >= min_agents:
-            yield _block(b, *key)
+    for n_agents, n_states, sizes in size_blocks(b):
+        if n_agents >= min_agents:
+            yield _block(b.props, b.vary_all_states, n_states, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ _OPS = {
 def _bind(g: Formula, block: ModelContext):
     kind = type(g)
     if kind is Atom:            # ValueError if not among the props
-        return block.atoms[block.bounds.props.index(g.name)]
+        return block.atoms[block.props.index(g.name)]
     if kind is Top:
         return block.top
     if kind is Bot:
@@ -199,9 +200,9 @@ def _bind(g: Formula, block: ModelContext):
         z if type(z) is Table else map(repeat, z) for z in (x, y))))
 
 
-def compile_formula(f: Formula, props: tuple[str, ...]):
-    """f as a function of any block over `props` with max_agent(f)+
-    agents; binding it raises ValueError on an atom outside `props`."""
+def compile_formula(f: Formula):
+    """f as a function of any block with max_agent(f)+ agents; binding
+    it raises ValueError on an atom outside the block's props."""
     return lambda block: _bind(f, block)
 
 

@@ -23,20 +23,22 @@ from .formula import (
     Ability, Inability, ast_dump, parse_formula, print_formula,
     propositions_of,
 )
-from .laws import COLUMNS, catalog, fixture_model, run_laws
+from .laws import COLUMNS, catalog, evaluate_fixture, run_laws
 from .model import Bounds, parse_model, print_model
 from .semantics import check_ability, check_inability, satisfies
 from .translation import translate
-from .validity import Counterexample, find_countermodel
+from .validity import Counterexample, default_bounds, find_countermodel
 
 
 def _bounds_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--agents", type=int, default=2, metavar="N",
-                     help="largest agent count to search (default 2)")
-    sub.add_argument("--states", type=int, default=3, metavar="K",
-                     help="largest state count to search (default 3)")
-    sub.add_argument("--actions", type=int, default=2, metavar="M",
-                     help="largest per-agent action count (default 2)")
+    b = default_bounds()
+    for flag, metavar, default, what in (
+            ("--agents", "N", b.max_agents, "agent count to search"),
+            ("--states", "K", b.max_states, "state count to search"),
+            ("--actions", "M", b.max_actions_per_agent,
+             "per-agent action count")):
+        sub.add_argument(flag, type=int, default=default, metavar=metavar,
+                         help=f"largest {what} (default {default})")
     sub.add_argument("--all-states", action="store_true",
                      help="vary outcomes at every state, not just the "
                           "initial one (needed for nested modalities)")
@@ -154,16 +156,13 @@ def _print_fixture_detail(law) -> None:
     print(f"fixture model: {fx.model_name}")
     print(f"fixture state: {fx.state}")
     print(f"fixture instance: {fx.instance}")
-    m = fixture_model(fx.model_name)
-    for text, expected in fx.claims:
-        got = satisfies(m, fx.state, parse_formula(text))
-        print(f"claim: {text} = {'true' if got else 'false'}")
-        if got != expected:
-            print(f"claim-mismatch: {text} pinned as "
-                  f"{'true' if expected else 'false'}")
-    replayed = satisfies(m, fx.state, parse_formula(fx.instance))
-    want = law.expected == "satisfiable"
-    print(f"fixture replay: {'ok' if replayed == want else 'MISMATCH'}")
+    rows = evaluate_fixture(law)
+    for text, got, want in rows[1:]:
+        print(f"claim: {text} = {str(got).lower()}")
+        if got != want:
+            print(f"claim-mismatch: {text} pinned as {str(want).lower()}")
+    ok = all(got == want for _, got, want in rows)
+    print(f"fixture replay: {'ok' if ok else 'MISMATCH'}")
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
@@ -173,8 +172,8 @@ def cmd_laws(args: argparse.Namespace) -> int:
         if not chosen:
             print(f"error: unknown law id {args.law!r}", file=sys.stderr)
             return 2
-    b = Bounds(args.agents, args.states, args.actions, ("p", "q"),
-               args.all_states)
+    b = Bounds(args.agents, args.states, args.actions,
+               default_bounds().props, args.all_states)
     report = run_laws(b, chosen)
     if args.structured:
         print("\n\n".join("\n".join(f"{name}: {cell}" for name, cell

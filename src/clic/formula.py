@@ -21,7 +21,7 @@ printing round-trips exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import wraps
 from typing import Iterator, Sequence
 
@@ -40,6 +40,7 @@ class Coalition:
     """A set of agents, stored as a sorted tuple of 1-based indices."""
 
     members: tuple[int, ...]
+    mask: int = field(init=False, repr=False, hash=False, compare=False)
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
@@ -48,6 +49,7 @@ class Coalition:
         if len(set(members)) != len(members):
             raise ValueError(f"duplicate agent in coalition {members}")
         object.__setattr__(self, "members", tuple(sorted(members)))
+        object.__setattr__(self, "mask", sum(1 << (a - 1) for a in members))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -63,10 +65,7 @@ class Coalition:
 
     def bitmask(self) -> int:
         """Encode the coalition as an int, agent i on bit i-1."""
-        mask = 0
-        for a in self.members:
-            mask |= 1 << (a - 1)
-        return mask
+        return self.mask
 
     @staticmethod
     def from_bitmask(mask: int) -> "Coalition":

@@ -393,22 +393,23 @@ def instantiations(law: Law, n_agents: int,
 # ---------------------------------------------------------------------------
 # Running
 
-def replay_fixture(law: Law) -> bool:
-    """Re-derive a fixture's pinned evaluations from its model.
-
-    True iff the instance comes out false at the fixture state (true
-    for the satisfiability entry) and every recorded claim evaluates as
-    stated.
+def evaluate_fixture(law: Law) -> list[tuple[str, bool, bool]]:
+    """(text, value at the fixture state, pinned value) for the fixture's
+    instance, pinned false (true for the satisfiability entry), then for
+    each recorded claim: what `replay_fixture` and `clic laws --law` read.
     """
     if law.fixture is None:
         raise FixtureMissing(f"law {law.id!r} has no pinned fixture")
     fx = law.fixture
     m = fixture_model(fx.model_name)
-    want = law.expected == "satisfiable"
-    if satisfies(m, fx.state, parse_formula(fx.instance)) != want:
-        return False
-    return all(satisfies(m, fx.state, parse_formula(text)) == expected
-               for text, expected in fx.claims)
+    pinned = ((fx.instance, law.expected == "satisfiable"), *fx.claims)
+    return [(text, satisfies(m, fx.state, parse_formula(text)), want)
+            for text, want in pinned]
+
+
+def replay_fixture(law: Law) -> bool:
+    """Whether a fixture's instance and every claim evaluate as pinned."""
+    return all(got == want for _, got, want in evaluate_fixture(law))
 
 
 # A result's fields, in the order `clic laws` shows them.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import UnknownState
 from .formula import (
     Ability, And, Atom, Bot, Coalition, Formula, Iff, Implies, Inability,
-    Not, Or, Top,
+    Not, Or, Top, guard_nesting,
 )
 from .model import ActionProfile, CoalitionModel, apply, complement, profiles
 
@@ -44,6 +44,7 @@ class InabilityWitness:
     counters: dict[ActionProfile, ActionProfile]
 
 
+@guard_nesting
 def extension(m: CoalitionModel, f: Formula,
               memo: dict[Formula, frozenset[str]] | None = None
               ) -> frozenset[str]:
@@ -53,7 +54,7 @@ def extension(m: CoalitionModel, f: Formula,
     each distinct subformula once.  Callers evaluating many formulas
     against the same model may pass a shared `memo` dict to keep those
     results across calls; a memo must never be reused for a different
-    model.
+    model.  An AST too deep for the stack raises ClicError (`guard_nesting`).
     """
     all_states = frozenset(m.states)
     if memo is None:

@@ -90,7 +90,7 @@ def check_truth_preservation(b: Bounds,
             "depth-2 formulas can nest modalities; the model grid needs "
             "vary_all_states=True")
 
-    jobs = [(f, max_agent(f), compile_formula(translate(f), b.props))
+    jobs = [(f, max_agent(f), compile_formula(translate(f)))
             for f in enumerate_formulas(b.props, b.max_agents,
                                         max_formula_depth)]
     total, violations, space = 0, [], list(blocks(b))

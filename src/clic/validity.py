@@ -95,7 +95,7 @@ def _search(f: Formula, b: Bounds) -> tuple[Verdict, int, int]:
     skipped without being counted.
     """
     need = _require_searchable(f, b)
-    compiled = compile_formula(f, b.props)
+    compiled = compile_formula(f)
     models_checked = states_checked = 0
     for block in blocks(b, need):
         checked, m, state = first_failure(compiled, block)

@@ -204,7 +204,38 @@ def test_laws_single_row_with_fixture_detail(capsys):
     assert "fixture state: s" in lines
     assert "fixture instance: I[1] p <-> I[2] !p" in lines
     assert "fixture replay: ok" in lines
-    assert any(line.startswith("claim: ") for line in lines)
+    assert [line for line in lines if line.startswith("claim")] == [
+        "claim: E[1] p = true", "claim: I[1] p = false",
+        "claim: I[2] !p = true"]
+
+
+def _broken_symmetry(part):
+    """The symmetry row with its fixture pinning one claim wrongly, or
+    with an instance that holds at the fixture state."""
+    from dataclasses import replace
+    from clic import catalog
+    law = next(law for law in catalog() if law.id == "symmetry")
+    fx = law.fixture
+    if part == "claim":
+        fx = replace(fx, claims=(("E[1] p", False),) + fx.claims[1:])
+    else:
+        fx = replace(fx, instance="E[1] p")
+    return replace(law, id="broken", fixture=fx)
+
+
+@pytest.mark.parametrize("part", ["claim", "instance"])
+def test_laws_fixture_mismatch_fails_the_row(capsys, monkeypatch, part):
+    from clic import replay_fixture
+    law = _broken_symmetry(part)
+    assert replay_fixture(law) is False
+    monkeypatch.setattr("clic.cli.catalog", lambda: (law,))
+    code, out, _ = run(capsys, "laws", "--law", "broken")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[2].startswith("broken") and lines[2].endswith("FAIL")
+    mismatch = "claim-mismatch: E[1] p pinned as false"
+    assert (mismatch in lines) is (part == "claim")
+    assert lines[-1] == "fixture replay: MISMATCH"
 
 
 def test_laws_row_without_fixture(capsys):

@@ -62,7 +62,7 @@ def test_blocks_rebuild_enumerate_models():
 def test_engines_agree(entry, f):
     block, v, fr, m = entry
     assume(max_agent(f) <= m.n_agents)
-    value = block.at(compile_formula(f, PROPS)(block), fr)
+    value = block.at(compile_formula(f)(block), fr)
     got = sum((x >> v & 1) << i for i, x in enumerate(value))
     assert got == bitmask(m, f)
 
@@ -71,6 +71,10 @@ def test_row_cache_is_shared_per_bounds():
     b = default_bounds()
     first, again = list(blocks(b)), list(blocks(b))
     assert all(x is y for x, y in zip(first, again))
+    # A block depends on what it is, not on the maxima around it.
+    assert all(x is y for x, y in zip(blocks(Bounds(2, 3, 2, PROPS)), first))
+    narrow = blocks(Bounds(1, 2, 2, PROPS))
+    assert {id(x) for x in narrow} <= {id(x) for x in first}
     # Reach sets depend on the state count and action sizes only, so
     # blocks of different bounds share them.
     other = next(x for x in blocks(Bounds(2, 3, 2, ("p",)))
@@ -86,7 +90,7 @@ def test_row_cache_is_shared_per_bounds():
 def test_tracer_seams_exist():
     """The benchmark's tracer (perfbench/tracing.py) wraps these by name."""
     assert "__init__" in vars(ModelContext)
-    compiled = compile_formula(Not(Atom("p")), PROPS)
+    compiled = compile_formula(Not(Atom("p")))
     block = next(blocks(SPACE))
     assert type(compiled(block)) is tuple
     verdict, models, states = _search(Atom("p"), SPACE)
@@ -97,7 +101,7 @@ def test_tracer_seams_exist():
     block = list(blocks(SPACE))[-1]
     for text, form in (("p & !q", tuple), ("E[1] p -> I[2] q", Table),
                        ("E[1] I[2] p -> p", None)):
-        compiled = compile_formula(parse_formula(text), PROPS)
+        compiled = compile_formula(parse_formula(text))
         value = compiled(block)
         assert type(value) is form if form else callable(value)
         got = first_failure(compiled, block)
@@ -106,7 +110,7 @@ def test_tracer_seams_exist():
 
 
 def test_unknown_atom_is_rejected_when_bound():
-    compiled = compile_formula(Atom("r"), PROPS)
+    compiled = compile_formula(Atom("r"))
     with pytest.raises(ValueError):
         compiled(next(blocks(SPACE)))
 

@@ -212,13 +212,33 @@ def test_shallow_formula_never_reports_nesting():
 
 
 def _entry_points():
-    from clic import fixture_model, print_formula, translate
-    m = fixture_model("m1")
+    from clic import (
+        Coalition, check_ability, check_inability, extension, fixture_model,
+        print_formula, semantics, translate,
+    )
+    m, one = fixture_model("m1"), Coalition((1,))
     return {"satisfies": lambda f: satisfies(m, m.initial, f),
+            "semantics.satisfies":
+                lambda f: semantics.satisfies(m, m.initial, f),
+            "extension": lambda f: extension(m, f),
+            "check_ability": lambda f: check_ability(m, m.initial, one, f),
+            "check_inability":
+                lambda f: check_inability(m, m.initial, one, f),
             "translate": translate, "print_formula": print_formula}
 
 
-@pytest.mark.parametrize("name", ["satisfies", "translate", "print_formula"])
+ENTRY_POINTS = ["satisfies", "translate", "print_formula",
+                "semantics.satisfies", "extension", "check_ability",
+                "check_inability"]
+
+
+def test_reference_satisfies_is_the_public_one():
+    """The reference clauses guard themselves: no second, guarded copy."""
+    import clic
+    assert clic.satisfies is clic.semantics.satisfies
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
 @pytest.mark.parametrize("levels", [600, 1200])
 def test_too_deep_formula_elsewhere_is_an_error_not_a_crash(name, levels):
     """The other entry points follow find_countermodel's rule: a deep AST
@@ -238,7 +258,7 @@ def test_too_deep_formula_elsewhere_is_an_error_not_a_crash(name, levels):
             assert "nested too deeply" in str(err)
 
 
-@pytest.mark.parametrize("name", ["satisfies", "translate", "print_formula"])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_shallow_formula_elsewhere_never_reports_nesting(name):
     """A stack the caller exhausted is not blamed on a shallow formula."""
     from clic import Ability, Atom, Coalition
