@@ -166,7 +166,7 @@ def _bind(g: Formula, block: ModelContext):
     if kind is Bot:
         return block.bot
     if kind is Ability or kind is Inability:
-        c, x = g.coalition.bitmask(), _bind(g.body, block)
+        c, x = g.coalition.mask, _bind(g.body, block)
         column, flip = block.columns[c], block.full if kind is Inability else 0
         if type(x) is not tuple:
             at = block.at

@@ -37,7 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Coalition:
-    """A set of agents, stored as a sorted tuple of 1-based indices."""
+    """A set of agents, stored as a sorted tuple of 1-based indices; `mask`
+    encodes it as an int, agent i on bit i-1."""
 
     members: tuple[int, ...]
     mask: int = field(init=False, repr=False, hash=False, compare=False)
@@ -63,10 +64,6 @@ class Coalition:
     def __repr__(self) -> str:
         return "[%s]" % ",".join(str(a) for a in self.members)
 
-    def bitmask(self) -> int:
-        """Encode the coalition as an int, agent i on bit i-1."""
-        return self.mask
-
     @staticmethod
     def from_bitmask(mask: int) -> "Coalition":
         return Coalition(tuple(i + 1 for i in range(mask.bit_length())
@@ -80,7 +77,30 @@ class Coalition:
 class Formula:
     """Base class of all formula nodes; reprs read like Not(Atom(p))."""
 
-    __slots__ = ()
+    # The node's hash, set on first use; not a dataclass field, so repr,
+    # == and pickles never see it.
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        """hash((type, *fields)), computed once per node from the children's
+        stored hashes, descendants first on an explicit stack, so no depth
+        recurses."""
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        stack = [self]
+        while stack:
+            g = stack[-1]
+            fields = [getattr(g, name) for name in g.__dataclass_fields__]
+            todo = [a for a in fields
+                    if isinstance(a, Formula) and not hasattr(a, "_hash")]
+            if todo:
+                stack += todo
+            else:
+                stack.pop()
+                object.__setattr__(g, "_hash", hash((type(g), *fields)))
+        return self._hash
 
     def __repr__(self) -> str:
         args = [getattr(self, name) for name in self.__dataclass_fields__]
@@ -90,51 +110,59 @@ class Formula:
             a if type(a) is str else repr(a) for a in args))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+def _node(cls: type) -> type:
+    """A frozen formula dataclass that keeps the generated __eq__ but
+    hashes with Formula.__hash__, not the generated recursive one."""
+    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Top(Formula):
     """The constant true."""
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Bot(Formula):
     """The constant false."""
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Ability(Formula):
     """E[C] body: coalition C has a joint action forcing body."""
 
@@ -142,7 +170,7 @@ class Ability(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Inability(Formula):
     """I[C] body: every joint action of C can be countered."""
 

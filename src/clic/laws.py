@@ -89,23 +89,23 @@ def _grand(n: int) -> Coalition:
 
 
 def _rest(n: int, c: Coalition) -> Coalition:
-    return Coalition.from_bitmask(((1 << n) - 1) ^ c.bitmask())
+    return Coalition.from_bitmask(((1 << n) - 1) ^ c.mask)
 
 
 def _union(c: Coalition, d: Coalition) -> Coalition:
-    return Coalition.from_bitmask(c.bitmask() | d.bitmask())
+    return Coalition.from_bitmask(c.mask | d.mask)
 
 
 def _subset(cs: tuple[Coalition, ...]) -> bool:
-    return cs[0].bitmask() & ~cs[1].bitmask() == 0
+    return cs[0].mask & ~cs[1].mask == 0
 
 
 def _proper_subset(cs: tuple[Coalition, ...]) -> bool:
-    return _subset(cs) and cs[0].bitmask() != cs[1].bitmask()
+    return _subset(cs) and cs[0].mask != cs[1].mask
 
 
 def _disjoint(cs: tuple[Coalition, ...]) -> bool:
-    return cs[0].bitmask() & cs[1].bitmask() == 0
+    return cs[0].mask & cs[1].mask == 0
 
 
 def catalog() -> tuple[Law, ...]:

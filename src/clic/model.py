@@ -124,8 +124,8 @@ def apply(m: CoalitionModel, state: str, p1: ActionProfile,
     """Outcome state under the union of two complementary joint actions."""
     if state not in m.states:
         raise UnknownState(f"state {state!r} not declared")
-    mask1 = p1.coalition.bitmask()
-    mask2 = p2.coalition.bitmask()
+    mask1 = p1.coalition.mask
+    mask2 = p2.coalition.mask
     if mask1 & mask2 or mask1 | mask2 != (1 << m.n_agents) - 1:
         raise ProfilesNotPartition(
             f"profiles for {p1.coalition} and {p2.coalition} do not "

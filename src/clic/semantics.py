@@ -51,10 +51,12 @@ def extension(m: CoalitionModel, f: Formula,
     """The set of states of m at which f holds.
 
     Subformula extensions are memoized so nested modalities evaluate
-    each distinct subformula once.  Callers evaluating many formulas
-    against the same model may pass a shared `memo` dict to keep those
-    results across calls; a memo must never be reused for a different
-    model.  An AST too deep for the stack raises ClicError (`guard_nesting`).
+    each distinct subformula once; a memo lookup is O(1) per node, as
+    each node computes its hash once and stores it.  Callers evaluating
+    many formulas against the same model may pass a shared `memo` dict
+    to keep those results across calls; a memo must never be reused for
+    a different model.  An AST too deep for the stack raises ClicError
+    (`guard_nesting`).
     """
     all_states = frozenset(m.states)
     if memo is None:

@@ -1,10 +1,15 @@
-"""Formula parsing, printing, and canonical enumeration."""
+"""Formula parsing, printing, hashing, and canonical enumeration."""
 
+import copy
+import os
+import pickle
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import clic
 from clic import (
     Ability, And, Atom, Bot, Coalition, DuplicateAgentInCoalition, Iff,
     Implies, Inability, Not, Or, ParseError, Top, ast_dump,
@@ -33,8 +38,8 @@ def test_coalition_rejects_bad_members():
 
 def test_coalition_bitmask_round_trip():
     for mask in range(16):
-        assert Coalition.from_bitmask(mask).bitmask() == mask
-    assert Coalition((1, 3)).bitmask() == 0b101
+        assert Coalition.from_bitmask(mask).mask == mask
+    assert Coalition((1, 3)).mask == 0b101
     assert Coalition((1, 3)).max_agent() == 3
     assert 3 in Coalition((1, 3)) and 2 not in Coalition((1, 3))
     assert len(Coalition((1, 3))) == 2
@@ -255,6 +260,58 @@ def test_enumerate_validates_arguments():
         list(enumerate_formulas(("p",), 0, 1))
     with pytest.raises(ValueError):
         list(enumerate_formulas(("p",), 1, -1))
+
+
+# ---------------------------------------------------------------------------
+# Hashing
+
+def rebuild(f):
+    """An equal copy of f made by the constructors, sharing no node."""
+    if isinstance(f, Coalition):
+        return Coalition(f.members)
+    if isinstance(f, str):
+        return f
+    return type(f)(*(rebuild(getattr(f, name))
+                     for name in f.__dataclass_fields__))
+
+
+def test_hash_agrees_with_equality():
+    """Equal formulas hash alike however they were built, and find each
+    other as dict keys; hashing leaves repr and printing as they were."""
+    for f in enumerate_formulas(("p", "q"), 2, 2):
+        shown, text = repr(f), print_formula(f)
+        for g in (parse_formula(text), rebuild(f)):
+            assert g == f and f == g
+            assert hash(g) == hash(f)
+            assert {f: "found"}[g] == {g: "found"}[f] == "found"
+        assert (repr(f), print_formula(f)) == (shown, text)
+        assert "_hash" not in type(f).__dataclass_fields__
+
+
+def test_cached_hash_stays_out_of_pickles_and_copies():
+    """A hash stored in one process is never read in another: pickles
+    and deep copies carry fields only."""
+    text = "E[1] (p & !q) -> I[1,2] (p | q)"
+    f = parse_formula(text)
+    unhashed = pickle.dumps(f)
+    hash(f)
+    hashed = pickle.dumps(f)
+    assert hashed == unhashed
+    g = copy.deepcopy(f)
+    assert g == f and hash(g) == hash(f) and {f: "found"}[g] == "found"
+
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    src = os.path.dirname(os.path.dirname(clic.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    lookup = ("import pickle, sys\n"
+              "from clic import parse_formula\n"
+              "f = pickle.loads(sys.stdin.buffer.read())\n"
+              f"print({{parse_formula({text!r}): 'found'}}[f])\n")
+    proc = subprocess.run([sys.executable, "-c", lookup], input=hashed,
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "found"
 
 
 # ---------------------------------------------------------------------------

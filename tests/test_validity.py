@@ -258,6 +258,38 @@ def test_too_deep_formula_elsewhere_is_an_error_not_a_crash(name, levels):
             assert "nested too deeply" in str(err)
 
 
+@pytest.mark.parametrize("levels", [600, 900])
+def test_reference_evaluators_take_deep_asts(levels):
+    """Hashing never recurses, so the reference clauses evaluate an AST
+    until their own recursion runs out, past 900 levels.  Each answer
+    matches one built level by level through a memo, on a separate copy."""
+    from clic import (
+        Ability, Atom, Coalition, Inability, check_ability, check_inability,
+        extension, fixture_model, semantics,
+    )
+    m, one = fixture_model("m1"), Coalition((1,))
+    s, memo, f, g = m.initial, {}, Atom("p"), Atom("p")
+    for _ in range(levels):
+        extension(m, g, memo)
+        f, g = Ability(one, f), Ability(one, g)
+    want = extension(m, g, memo)
+    assert extension(m, f) == want
+    assert semantics.satisfies(m, s, f) is (s in want)
+    assert check_ability(m, s, one, f)[0] is (
+        s in extension(m, Ability(one, g), memo))
+    assert check_inability(m, s, one, f)[0] is (
+        s in extension(m, Inability(one, g), memo))
+
+
+def test_hash_of_any_depth():
+    """A formula's first hash walks an explicit stack, not Python's."""
+    from clic import Ability, Atom, Coalition
+    f, g = Atom("p"), Atom("p")
+    for _ in range(10_000):
+        f, g = Ability(Coalition((1,)), f), Ability(Coalition((1,)), g)
+    assert hash(f) == hash(g)
+
+
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_shallow_formula_elsewhere_never_reports_nesting(name):
     """A stack the caller exhausted is not blamed on a shallow formula."""
