@@ -45,8 +45,8 @@ class Coalition:
 
     def __post_init__(self) -> None:
         members = tuple(self.members)
-        if any(a < 1 for a in members):
-            raise ValueError(f"agent indices are 1-based, got {members}")
+        if not all(1 <= a <= MAX_AGENT for a in members):
+            raise ValueError(f"agent indices run from 1 to {MAX_AGENT}")
         if len(set(members)) != len(members):
             raise ValueError(f"duplicate agent in coalition {members}")
         object.__setattr__(self, "members", tuple(sorted(members)))
@@ -178,11 +178,6 @@ class Inability(Formula):
     body: Formula
 
 
-def ast_dump(f: Formula) -> str:
-    """Constructor-style rendering of the tree, as used by the CLI."""
-    return repr(f)
-
-
 # ---------------------------------------------------------------------------
 # Printing
 
@@ -195,6 +190,21 @@ PREC_UNARY = 5
 # Deepest AST parse_formula accepts: about half the height (199) at which
 # the dataclasses' recursive repr hits Python's limit in `clic parse`.
 MAX_NESTING = 100
+
+# Largest agent index accepted anywhere: a coalition's mask then takes at
+# most 1.25 KB.  Every search enumerates all 2^n coalitions of its n agents
+# (`_eval._columns`), so no search comes near it.
+MAX_AGENT = 10_000
+
+
+def agent_index(text: str) -> int | None:
+    """The number that the decimal digits text spell, capped at MAX_AGENT + 1
+    so that no digit string is too long to read; None if text is not one."""
+    if not text.isdecimal():
+        return None
+    digits = text.lstrip("0")
+    return (int(digits or "0") if len(digits) <= len(str(MAX_AGENT))
+            else MAX_AGENT + 1)
 
 
 def guard_nesting(fn):
@@ -211,6 +221,12 @@ def guard_nesting(fn):
                 raise
             raise ClicError("formula nested too deeply to evaluate") from None
     return guarded
+
+
+@guard_nesting
+def ast_dump(f: Formula) -> str:
+    """Constructor-style rendering of the tree, as used by the CLI."""
+    return repr(f)
 
 
 @guard_nesting
@@ -335,12 +351,13 @@ def parse_formula(text: str) -> Formula:
         members: list[int] = []
         if tokens[pos] != "]":
             while True:
-                tok = tokens[pos]
-                if not tok[:1].isdigit():
+                agent = agent_index(tokens[pos])
+                if agent is None:
                     _fail(text, pos, ("an agent index",))
-                agent = int(tok)
-                if agent < 1:
-                    _fail(text, pos, (), message="agent indices are 1-based")
+                if not 1 <= agent <= MAX_AGENT:
+                    _fail(text, pos, (), message=(
+                        "agent indices are 1-based" if agent < 1 else
+                        f"agent indices are at most {MAX_AGENT}"))
                 if agent in members:
                     _fail(text, pos, (),
                           message=f"agent {agent} listed twice",

@@ -31,7 +31,7 @@ from .errors import (
     ModelFormatError, PartialOutcome, ProfilesNotPartition, UnknownAction,
     UnknownAgent, UnknownState,
 )
-from .formula import Coalition
+from .formula import MAX_AGENT, Coalition, agent_index
 
 __all__ = [
     "ActionProfile", "Bounds", "CoalitionModel",
@@ -167,9 +167,11 @@ def parse_model(text: str) -> CoalitionModel:
     if agents_rec is None:
         raise ModelFormatError("missing 'agents' line")
     lineno, tokens = agents_rec
-    if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+    n = agent_index(tokens[1]) if len(tokens) == 2 else None
+    if n is None or n < 1:
         raise ModelFormatError("malformed 'agents' line", lineno)
-    n = int(tokens[1])
+    if n > MAX_AGENT:
+        raise ModelFormatError(f"more than {MAX_AGENT} agents", lineno)
 
     states: list[str] = []
     for lineno, tokens in records["state"]:
@@ -198,9 +200,12 @@ def parse_model(text: str) -> CoalitionModel:
 
     actions: dict[int, tuple[str, ...]] = {}
     for lineno, tokens in records["actions"]:
-        if len(tokens) < 3 or not tokens[1].isdigit():
+        agent = agent_index(tokens[1]) if len(tokens) >= 3 else None
+        if agent is None:
             raise ModelFormatError("malformed 'actions' line", lineno)
-        agent = int(tokens[1])
+        if agent > MAX_AGENT:
+            raise UnknownAgent(f"agent indices are at most {MAX_AGENT}",
+                               lineno)
         if not 1 <= agent <= n:
             raise UnknownAgent(f"agent {agent} outside 1..{n}", lineno)
         if agent in actions:

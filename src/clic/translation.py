@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._eval import blocks, compile_formula
-from .errors import BoundsInsufficientForFormula, BoundsTooSmall
+from .errors import BoundsTooSmall
 from .formula import (
     Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
-    enumerate_formulas, guard_nesting, max_agent, walk,
+    enumerate_formulas, guard_nesting, walk,
 )
 from .model import Bounds, CoalitionModel
 from .semantics import extension
+from .validity import _require_searchable
 
 __all__ = [
     "PreservationReport", "check_truth_preservation", "is_cl_fragment",
@@ -81,16 +82,13 @@ def check_truth_preservation(b: Bounds,
     frame (a per-row table by each state's row choice), the engine
     rebuilds the model of valuation v on the frame, and bit v is
     compared with it.  Violations are listed in that order: by size
-    block, frame, valuation, formula and state.
+    block, frame, valuation, formula and state.  Bounds that cannot search
+    every formula raise BoundsInsufficientForFormula, as in
+    `find_countermodel`.
     """
     if max_formula_depth < 0:
         raise BoundsTooSmall("no formulas below depth 0")
-    if max_formula_depth >= 2 and not b.vary_all_states:
-        raise BoundsInsufficientForFormula(
-            "depth-2 formulas can nest modalities; the model grid needs "
-            "vary_all_states=True")
-
-    jobs = [(f, max_agent(f), compile_formula(translate(f)))
+    jobs = [(f, _require_searchable(f, b), compile_formula(translate(f)))
             for f in enumerate_formulas(b.props, b.max_agents,
                                         max_formula_depth)]
     total, violations, space = 0, [], list(blocks(b))

@@ -71,7 +71,8 @@ Verdict = Counterexample | NoCounterexampleWithinBounds
 
 
 def _require_searchable(f: Formula, b: Bounds) -> int:
-    """Raise unless b can search f; return max_agent(f)."""
+    """Raise unless b can search f; return max_agent(f).  The only rule on
+    what a bounds can search: every search asks it before it scans."""
     need, atoms, depth = measures(f)
     if need > b.max_agents:
         raise BoundsInsufficientForFormula(
@@ -135,27 +136,18 @@ def minimal_countermodel(f: Formula, b: Bounds) -> Verdict:
 
     Size tuples (states, actions, agents) run in lexicographic order up
     to b's limits.  The returned Counterexample carries the first tuple
-    at which the search succeeded.  Tuples too small to interpret f
-    (e.g. too few agents) are skipped; if every tuple is, the error for
-    the final one propagates.
+    at which the search succeeded.  Tuples with fewer agents than f
+    mentions are skipped; a formula that b itself cannot search raises.
     """
-    last_error: BoundsInsufficientForFormula | None = None
-    verdict: Verdict | None = None
+    need = _require_searchable(f, b)
     visited = 0
     for size in product(range(1, b.max_states + 1),
                         range(1, b.max_actions_per_agent + 1),
-                        range(1, b.max_agents + 1)):
+                        range(max(need, 1), b.max_agents + 1)):
         n_states, n_actions, n_agents = size
-        try:
-            verdict = find_countermodel(f, Bounds(
-                n_agents, n_states, n_actions, b.props, b.vary_all_states))
-        except BoundsInsufficientForFormula as err:
-            last_error = err
-            continue
+        verdict = find_countermodel(f, Bounds(
+            n_agents, n_states, n_actions, b.props, b.vary_all_states))
         visited += verdict.models_checked
         if isinstance(verdict, Counterexample):
             return replace(verdict, size=size, models_checked=visited)
-    if verdict is None:
-        assert last_error is not None
-        raise last_error
     return verdict

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from clic import parse_formula, parse_model, satisfies
-from clic.formula import MAX_NESTING
+from clic.formula import MAX_AGENT, MAX_NESTING
 from clic.cli import main
 
 M1 = """\
@@ -348,3 +348,52 @@ def test_parentheses_add_no_height(capsys, m1_path, command):
     code, _, err = run_formula(capsys, m1_path, command, text)
     assert code == 2
     assert err.startswith("error: ") and "nested deeper" in err
+
+
+# Each was a traceback (OverflowError, ValueError or MemoryError) or, at
+# 10**9, a 125 MB coalition mask.
+HUGE_AGENTS = ["99999999999999999999", "7" * 5000, "20000000000",
+               "1000000000", str(MAX_AGENT + 1)]
+
+
+@pytest.mark.parametrize("agent", HUGE_AGENTS,
+                         ids=lambda a: f"{len(a)}-digits")
+def test_agent_index_above_the_bound_is_usage_error(capsys, agent):
+    code, out, err = run(capsys, "parse", f"p & E[1,{agent}] p")
+    assert code == 2 and out == ""
+    assert err == (f"error: agent indices are at most {MAX_AGENT} "
+                   "at offset 8\n")
+
+
+def _one_state_model(agents, actions):
+    """A model file with one state; each agent in `actions` has one action."""
+    return "\n".join([f"agents {agents}", "state s", "init s",
+                      *(f"actions {i} a" for i in actions),
+                      "default s -> s"]) + "\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    (_one_state_model("7" * 5000, []), 1),
+    (_one_state_model(MAX_AGENT + 1, []), 1),
+    (_one_state_model(2, ["7" * 5000]), 4),
+    (_one_state_model(2, [MAX_AGENT + 1]), 4),
+], ids=["agents-5000-digits", "agents-above", "actions-5000-digits",
+        "actions-above"])
+def test_model_integer_above_the_bound_is_usage_error(capsys, tmp_path, text,
+                                                       line):
+    path = tmp_path / "big.clm"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path), "p")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line {line}: ") and str(MAX_AGENT) in err
+
+
+def test_agent_bound_itself_is_accepted(capsys, tmp_path):
+    text = f"E[{MAX_AGENT}] p"
+    code, out, err = run(capsys, "parse", text)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"Ability([{MAX_AGENT}], Atom(p))", text]
+    path = tmp_path / "wide.clm"
+    path.write_text(_one_state_model(MAX_AGENT, range(1, MAX_AGENT + 1)))
+    code, out, err = run(capsys, "check", str(path), text)
+    assert (code, out, err) == (1, "result: false\n", "")

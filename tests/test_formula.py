@@ -16,6 +16,7 @@ from clic import (
     enumerate_formulas, modal_depth, parse_formula, print_formula,
     propositions_of,
 )
+from clic.formula import MAX_AGENT
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -34,6 +35,10 @@ def test_coalition_rejects_bad_members():
         Coalition((0,))
     with pytest.raises(ValueError):
         Coalition((1, 1))
+    for agent in (MAX_AGENT + 1, 10 ** 20):
+        with pytest.raises(ValueError, match="run from 1 to"):
+            Coalition((1, agent))
+    assert Coalition((MAX_AGENT,)).mask == 1 << (MAX_AGENT - 1)
 
 
 def test_coalition_bitmask_round_trip():
@@ -99,7 +104,7 @@ def test_atom_names():
 
 @pytest.mark.parametrize("text", [
     "", "p q", "p &", "& p", "(p", "p)", "E p", "E[1 p", "E[a] p",
-    "E[0] p", "E[] ", "->", "p ->", "p <- q", "I[1,] p",
+    "E[0] p", "E[] ", "->", "p ->", "p <- q", "I[1,] p", "E[\u00b2] p",
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):

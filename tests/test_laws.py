@@ -76,6 +76,18 @@ def test_every_fixture_replays():
             assert replay_fixture(law), law.id
 
 
+def test_every_fixture_instance_belongs_to_its_scheme():
+    """_run_law searches the pinned instance first, so one outside the
+    scheme would let a row report a verdict on a formula it never
+    claimed."""
+    fixtures = [law for law in catalog() if law.fixture is not None]
+    assert len(fixtures) == 12
+    for law in fixtures:
+        f = parse_formula(law.fixture.instance)
+        assert any(f in set(instantiations(law, n, ("p", "q")))
+                   for n in (1, 2)), law.id
+
+
 def test_replay_fixture_needs_a_fixture():
     with pytest.raises(FixtureMissing):
         replay_fixture(BY_ID["ability-distribution"])

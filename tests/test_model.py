@@ -101,6 +101,11 @@ def test_prop_line_with_no_states(m1):
      ModelFormatError),
     ("agents 1\nstate s\ninit s\nactions 1 a\ndefault s => s\n",
      ModelFormatError),
+    # Digits that int() cannot read.
+    ("agents \u00b2\nstate s\ninit s\nactions 1 a\ndefault s -> s\n",
+     ModelFormatError),
+    ("agents 1\nstate s\ninit s\nactions \u00b2 a\ndefault s -> s\n",
+     ModelFormatError),
 ])
 def test_rejected_files(text, exc):
     with pytest.raises(exc):

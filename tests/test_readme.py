@@ -1,0 +1,33 @@
+"""The README's examples run as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+from clic.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _blocks(lang):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+
+
+def test_readme_check_examples_run(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    lines = [line for block in _blocks("sh") for line in block.splitlines()
+             if line.startswith("clic check ")]
+    assert len(lines) == 2
+    for line in lines:
+        code = main(shlex.split(line, comments=True)[1:])
+        assert code in (0, 1), line
+        assert capsys.readouterr().err == "", line
+
+
+def test_readme_library_example_runs(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    (code,) = [block for block in _blocks("python")
+               if "from clic import" in block]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out

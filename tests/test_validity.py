@@ -213,8 +213,8 @@ def test_shallow_formula_never_reports_nesting():
 
 def _entry_points():
     from clic import (
-        Coalition, check_ability, check_inability, extension, fixture_model,
-        print_formula, semantics, translate,
+        Coalition, ast_dump, check_ability, check_inability, extension,
+        fixture_model, print_formula, semantics, translate,
     )
     m, one = fixture_model("m1"), Coalition((1,))
     return {"satisfies": lambda f: satisfies(m, m.initial, f),
@@ -224,12 +224,13 @@ def _entry_points():
             "check_ability": lambda f: check_ability(m, m.initial, one, f),
             "check_inability":
                 lambda f: check_inability(m, m.initial, one, f),
-            "translate": translate, "print_formula": print_formula}
+            "translate": translate, "print_formula": print_formula,
+            "ast_dump": ast_dump}
 
 
 ENTRY_POINTS = ["satisfies", "translate", "print_formula",
                 "semantics.satisfies", "extension", "check_ability",
-                "check_inability"]
+                "check_inability", "ast_dump"]
 
 
 def test_reference_satisfies_is_the_public_one():
