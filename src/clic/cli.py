@@ -25,7 +25,8 @@ from .formula import (
 )
 from .laws import COLUMNS, catalog, evaluate_fixture, run_laws
 from .model import Bounds, parse_model, print_model
-from .semantics import check_ability, check_inability, satisfies
+from .semantics import (AbilityWitness, check_ability, check_inability,
+                        satisfies)
 from .translation import translate
 from .validity import Counterexample, default_bounds, find_countermodel
 
@@ -96,20 +97,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     f = parse_formula(args.formula)
     state = args.state if args.state is not None else m.initial
 
-    if isinstance(f, Ability):
-        result, witness = check_ability(m, state, f.coalition, f.body)
-        print(f"result: {'true' if result else 'false'}")
-        if result:
-            print(f"witness: {witness.action}")
-    elif isinstance(f, Inability):
-        result, witness = check_inability(m, state, f.coalition, f.body)
-        print(f"result: {'true' if result else 'false'}")
-        if result:
-            for own, counter in witness.counters.items():
-                print(f"counter: {own} => {counter}")
-    else:
-        result = satisfies(m, state, f)
-        print(f"result: {'true' if result else 'false'}")
+    check = {Ability: check_ability, Inability: check_inability}.get(type(f))
+    result, witness = (check(m, state, f.coalition, f.body) if check
+                       else (satisfies(m, state, f), None))
+    print(f"result: {'true' if result else 'false'}")
+    if isinstance(witness, AbilityWitness):
+        print(f"witness: {witness.action}")
+    elif witness is not None:
+        for own, counter in witness.counters.items():
+            print(f"counter: {own} => {counter}")
     return 0 if result else 1
 
 
@@ -170,8 +166,7 @@ def cmd_laws(args: argparse.Namespace) -> int:
     if args.law is not None:
         chosen = tuple(law for law in chosen if law.id == args.law)
         if not chosen:
-            print(f"error: unknown law id {args.law!r}", file=sys.stderr)
-            return 2
+            raise ClicError(f"unknown law id {args.law!r}")
     b = Bounds(args.agents, args.states, args.actions,
                default_bounds().props, args.all_states)
     report = run_laws(b, chosen)

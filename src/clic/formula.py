@@ -196,11 +196,15 @@ MAX_NESTING = 100
 # (`_eval._columns`), so no search comes near it.
 MAX_AGENT = 10_000
 
+# Most outcomes a model file may define, states times complete action
+# profiles: `parse_model` expands every one, so the count is checked first.
+MAX_OUTCOMES = 65_536
+
 
 def agent_index(text: str) -> int | None:
-    """The number that the decimal digits text spell, capped at MAX_AGENT + 1
+    """The number that the ASCII digits text spell, capped at MAX_AGENT + 1
     so that no digit string is too long to read; None if text is not one."""
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         return None
     digits = text.lstrip("0")
     return (int(digits or "0") if len(digits) <= len(str(MAX_AGENT))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
     ModelFormatError, PartialOutcome, ProfilesNotPartition, UnknownAction,
     UnknownAgent, UnknownState,
 )
-from .formula import MAX_AGENT, Coalition, agent_index
+from .formula import MAX_AGENT, MAX_OUTCOMES, Coalition, agent_index
 
 __all__ = [
     "ActionProfile", "Bounds", "CoalitionModel",
@@ -220,6 +221,9 @@ def parse_model(text: str) -> CoalitionModel:
         if agent not in actions:
             raise MissingActions(agent)
     action_tuples = tuple(actions[a] for a in range(1, n + 1))
+    if len(states) * prod(map(len, action_tuples)) > MAX_OUTCOMES:
+        raise ModelFormatError(f"more than {MAX_OUTCOMES} outcomes (states "
+                               "times complete action profiles)")
 
     valuation: dict[str, frozenset[str]] = {}
     for lineno, tokens in records["prop"]:

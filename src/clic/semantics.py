@@ -3,10 +3,10 @@
 The modal clauses quantify over joint actions: E[C] f holds when some
 joint action of C guarantees f against every completion by the other
 agents, and I[C] f holds when every joint action of C is countered by
-some completion, where the counter may depend on C's choice.  Both
-clauses are implemented directly from their quantifier alternation, so
-the duality I[C] f <-> !E[C] f is a checked property rather than a
-definition baked into the evaluator.
+some completion, where the counter may depend on C's choice.  One
+function, `_witnesses`, implements both from their quantifier
+alternation, with a witness per state, so the duality I[C] f <-> !E[C] f
+is a checked property rather than a definition baked into the evaluator.
 
 Atoms missing from a model's valuation are false at every state, which
 lets one formula run over many models without renaming.
@@ -42,6 +42,34 @@ class InabilityWitness:
     """One countering completion for every joint action of C."""
 
     counters: dict[ActionProfile, ActionProfile]
+
+
+def _witnesses(m: CoalitionModel, g: Ability | Inability,
+               body: frozenset[str], states: tuple[str, ...]
+               ) -> dict[str, AbilityWitness | InabilityWitness]:
+    """For g = E[C] b or I[C] b and body, the extension of b: the states
+    among `states` at which g holds, each mapped to its witness."""
+    others = list(profiles(m, complement(m, g.coalition)))
+    own = list(profiles(m, g.coalition))
+    found: dict[str, AbilityWitness | InabilityWitness] = {}
+    for s in states:
+        if isinstance(g, Ability):  # some action reaches body against all
+            for pc in own:
+                if all(apply(m, s, pc, pd) in body for pd in others):
+                    found[s] = AbilityWitness(pc)
+                    break
+            continue
+        counters: dict[ActionProfile, ActionProfile] = {}
+        for pc in own:  # every action has a completion that leaves body
+            counter = next(
+                (pd for pd in others if apply(m, s, pc, pd) not in body),
+                None)
+            if counter is None:
+                break
+            counters[pc] = counter
+        else:
+            found[s] = InabilityWitness(counters)
+    return found
 
 
 @guard_nesting
@@ -83,22 +111,8 @@ def extension(m: CoalitionModel, f: Formula,
         elif isinstance(g, Iff):
             left, right = ext(g.left), ext(g.right)
             result = all_states - (left ^ right)
-        elif isinstance(g, Ability):
-            body = ext(g.body)
-            own = list(profiles(m, g.coalition))
-            others = list(profiles(m, complement(m, g.coalition)))
-            result = frozenset(
-                s for s in m.states
-                if any(all(apply(m, s, pc, pd) in body for pd in others)
-                       for pc in own))
-        elif isinstance(g, Inability):
-            body = ext(g.body)
-            own = list(profiles(m, g.coalition))
-            others = list(profiles(m, complement(m, g.coalition)))
-            result = frozenset(
-                s for s in m.states
-                if all(any(apply(m, s, pc, pd) not in body for pd in others)
-                       for pc in own))
+        elif isinstance(g, (Ability, Inability)):
+            result = frozenset(_witnesses(m, g, ext(g.body), m.states))
         else:
             raise TypeError(f"not a formula: {g!r}")
         memo[g] = result
@@ -123,12 +137,8 @@ def check_ability(m: CoalitionModel, state: str, c: Coalition,
     """
     if state not in m.states:
         raise UnknownState(f"state {state!r} not declared")
-    body = extension(m, goal)
-    others = list(profiles(m, complement(m, c)))
-    for pc in profiles(m, c):
-        if all(apply(m, state, pc, pd) in body for pd in others):
-            return True, AbilityWitness(pc)
-    return False, None
+    w = _witnesses(m, Ability(c, goal), extension(m, goal), (state,))
+    return state in w, w.get(state)
 
 
 def check_inability(m: CoalitionModel, state: str, c: Coalition,
@@ -142,17 +152,8 @@ def check_inability(m: CoalitionModel, state: str, c: Coalition,
     """
     if state not in m.states:
         raise UnknownState(f"state {state!r} not declared")
-    body = extension(m, goal)
-    others = list(profiles(m, complement(m, c)))
-    counters: dict[ActionProfile, ActionProfile] = {}
-    for pc in profiles(m, c):
-        counter = next(
-            (pd for pd in others if apply(m, state, pc, pd) not in body),
-            None)
-        if counter is None:
-            return False, None
-        counters[pc] = counter
-    return True, InabilityWitness(counters)
+    w = _witnesses(m, Inability(c, goal), extension(m, goal), (state,))
+    return state in w, w.get(state)
 
 
 def verify_ability_witness(m: CoalitionModel, state: str, c: Coalition,

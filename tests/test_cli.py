@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from clic import parse_formula, parse_model, satisfies
-from clic.formula import MAX_AGENT, MAX_NESTING
+from clic.formula import MAX_AGENT, MAX_NESTING, MAX_OUTCOMES
 from clic.cli import main
 
 M1 = """\
@@ -245,9 +245,9 @@ def test_laws_row_without_fixture(capsys):
 
 
 def test_laws_unknown_id(capsys):
-    code, _, err = run(capsys, "laws", "--law", "modus-ponens")
-    assert code == 2
-    assert "modus-ponens" in err
+    code, out, err = run(capsys, "laws", "--law", "modus-ponens")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown law id 'modus-ponens'\n"
 
 
 def test_laws_structured_single(capsys):
@@ -365,10 +365,11 @@ def test_agent_index_above_the_bound_is_usage_error(capsys, agent):
                    "at offset 8\n")
 
 
-def _one_state_model(agents, actions):
-    """A model file with one state; each agent in `actions` has one action."""
+def _one_state_model(agents, actions, acts="a"):
+    """A model file with one state; each agent in `actions` has the
+    actions `acts`."""
     return "\n".join([f"agents {agents}", "state s", "init s",
-                      *(f"actions {i} a" for i in actions),
+                      *(f"actions {i} {acts}" for i in actions),
                       "default s -> s"]) + "\n"
 
 
@@ -397,3 +398,35 @@ def test_agent_bound_itself_is_accepted(capsys, tmp_path):
     path.write_text(_one_state_model(MAX_AGENT, range(1, MAX_AGENT + 1)))
     code, out, err = run(capsys, "check", str(path), text)
     assert (code, out, err) == (1, "result: false\n", "")
+
+
+@pytest.mark.parametrize("text", [
+    None, _one_state_model("\u0661", [1]), _one_state_model(1, ["\u0661"]),
+], ids=["formula", "agents", "actions"])
+def test_non_ascii_digit_is_usage_error(capsys, tmp_path, text):
+    """An Arabic-Indic one is not an agent index: digits are ASCII."""
+    argv = ["parse", "E[\u0661] p"]
+    if text is not None:
+        path = tmp_path / "digit.clm"
+        path.write_text(text, encoding="utf-8")
+        argv = ["check", str(path), "p"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("agents,code", [(16, 1), (17, 2), (24, 2)])
+def test_outcome_count_is_bounded_before_expansion(capsys, tmp_path, agents,
+                                                   code):
+    """Two actions per agent: 16 agents make MAX_OUTCOMES outcomes, 17 one
+    agent too many; 24 used to run out of memory and exit 1."""
+    path = tmp_path / "wide.clm"
+    path.write_text(_one_state_model(agents, range(1, agents + 1), "a b"))
+    got, out, err = run(capsys, "check", str(path), "p")
+    assert got == code
+    if code == 1:
+        assert (out, err) == ("result: false\n", "")
+    else:
+        assert out == ""
+        assert err == (f"error: more than {MAX_OUTCOMES} outcomes (states "
+                       "times complete action profiles)\n")

@@ -65,6 +65,7 @@ def test_coalition_bitmask_round_trip():
     ("E[1] p", Ability(Coalition((1,)), p)),
     ("I[1,2] p", Inability(Coalition((1, 2)), p)),
     ("E[] false", Ability(Coalition.from_bitmask(0), Bot())),
+    ("E[000001] p", Ability(Coalition((1,)), p)),
 ])
 def test_parse_atoms_and_connectives(text, ast):
     assert parse_formula(text) == ast

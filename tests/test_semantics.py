@@ -186,6 +186,15 @@ def test_duality_exhaustive_on_single_agent_models():
                 e, i = Ability(c, goal), Inability(c, goal)
                 for s in m.states:
                     assert satisfies(m, s, i) == (not satisfies(m, s, e))
+                    # The checkers agree with the clauses at every state,
+                    # and each witness they return replays.
+                    ok, w = check_ability(m, s, c, goal)
+                    assert ok == satisfies(m, s, e)
+                    assert not ok or verify_ability_witness(m, s, c, goal, w)
+                    ok, w = check_inability(m, s, c, goal)
+                    assert ok == satisfies(m, s, i)
+                    assert not ok or verify_inability_witness(m, s, c, goal,
+                                                              w)
 
 
 @given(st.sampled_from(TWO_AGENT), st.sampled_from(GOALS),
