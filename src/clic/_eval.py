@@ -33,12 +33,19 @@ from math import prod
 from operator import and_, getitem, mod, or_, xor
 from typing import Iterator
 
+from .errors import ClicError
 from .formula import (
-    Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
+    MAX_REACH_WORK, Ability, And, Atom, Bot, Formula, Iff, Implies, Inability,
+    Not, Or, Top,
 )
 from .model import Bounds, CoalitionModel, _layout, size_blocks
 
-__all__ = ["ModelContext", "blocks", "compile_formula", "first_failure"]
+__all__ = ["ModelContext", "SearchTooLarge", "blocks", "compile_formula",
+           "first_failure"]
+
+
+class SearchTooLarge(ClicError):
+    """The reach sets a search would build take over MAX_REACH_WORK steps."""
 
 
 @lru_cache(maxsize=64)
@@ -67,6 +74,13 @@ def _columns(n_states: int, sizes: tuple[int, ...]) -> tuple[tuple, ...]:
               for c in range(1 << n)]
     return tuple(tuple(_minimal_reach(share, row) for row in rows)
                  for share in shares)
+
+
+def _reach_work(n_states: int, sizes: tuple[int, ...]) -> int:
+    """The steps _columns takes: per coalition and complete profile, one
+    share (of the agents) and one reach-set entry per outcome row."""
+    profiles = prod(sizes)
+    return (1 << len(sizes)) * profiles * (len(sizes) + n_states ** profiles)
 
 
 def _minimal_reach(share: list, row: tuple[int, ...]) -> tuple:
@@ -137,12 +151,30 @@ class ModelContext:
 _block = lru_cache(maxsize=256)(ModelContext)
 
 
+@lru_cache(maxsize=64)
+def _plan(b: Bounds, min_agents: int) -> tuple[tuple, ...]:
+    """The size blocks of b with min_agents+ agents in order, each with
+    the reach-set steps up to it; ends at the first past MAX_REACH_WORK."""
+    plan, work = [], 0
+    for n_agents, n_states, sizes in size_blocks(b, min_agents):
+        work += _reach_work(n_states, sizes)
+        plan.append((n_agents, n_states, sizes, work))
+        if work > MAX_REACH_WORK:
+            break
+    return tuple(plan)
+
+
 def blocks(b: Bounds, min_agents: int = 1) -> Iterator[ModelContext]:
-    """The blocks of b in order, skipping narrow ones; each is built
-    when reached, so an early stop skips the reach sets of the rest."""
-    for n_agents, n_states, sizes in size_blocks(b):
-        if n_agents >= min_agents:
-            yield _block(b.props, b.vary_all_states, n_states, sizes)
+    """The blocks of b with min_agents+ agents in order; each is built
+    when reached, so an early stop skips the reach sets of the rest.
+    Raises SearchTooLarge on reaching one past MAX_REACH_WORK."""
+    for n_agents, n_states, sizes, work in _plan(b, min_agents):
+        if work > MAX_REACH_WORK:
+            raise SearchTooLarge(
+                f"search too large: its reach sets take over "
+                f"{MAX_REACH_WORK} steps by the block of agents {n_agents}, "
+                f"states {n_states}")
+        yield _block(b.props, b.vary_all_states, n_states, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -55,25 +55,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("parse", help="echo a formula's AST and "
                                       "canonical form")
     p.add_argument("formula")
+    p.set_defaults(run=cmd_parse)
 
     p = subs.add_parser("check", help="evaluate a formula in a model file")
     p.add_argument("model", help="path to a .clm model file")
     p.add_argument("formula")
     p.add_argument("--state", metavar="ID",
                    help="state to evaluate at (default: the model's init)")
+    p.set_defaults(run=cmd_check)
 
     p = subs.add_parser("translate", help="rewrite inability as negated "
                                           "ability")
     p.add_argument("formula")
+    p.set_defaults(run=cmd_translate)
 
     p = subs.add_parser("countermodel", help="search for a model falsifying "
                                              "a formula")
     p.add_argument("formula")
     _bounds_arguments(p)
+    p.set_defaults(run=cmd_countermodel)
 
     p = subs.add_parser("laws", help="run the structural-law catalog")
     p.add_argument("--law", metavar="ID", help="run a single catalog entry")
     _bounds_arguments(p)
+    p.set_defaults(run=cmd_laws)
 
     for p in subs.choices.values():
         p.add_argument("--structured", action="store_true",
@@ -181,19 +186,10 @@ def cmd_laws(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-_COMMANDS = {
-    "parse": cmd_parse,
-    "check": cmd_check,
-    "translate": cmd_translate,
-    "countermodel": cmd_countermodel,
-    "laws": cmd_laws,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ClicError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ClicError", "ParseError", "DuplicateAgentInCoalition",
+    "ModelFormatError", "MissingInit", "MissingActions", "UnknownState",
+    "UnknownAction", "UnknownAgent", "PartialOutcome",
+    "CoalitionOutOfRange", "ProfilesNotPartition", "BoundsTooSmall",
+    "BoundsInsufficientForFormula", "FixtureMissing",
+]
+
 
 class ClicError(Exception):
     """Base class for all errors raised by this package."""

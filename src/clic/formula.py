@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import lru_cache, wraps
 from typing import Iterator, Sequence
 
 from .errors import ClicError, DuplicateAgentInCoalition, ParseError
@@ -31,7 +31,7 @@ __all__ = [
     "Formula", "Atom", "Top", "Bot", "Not", "And", "Or", "Implies", "Iff",
     "Ability", "Inability", "Coalition",
     "parse_formula", "print_formula", "ast_dump",
-    "modal_depth", "propositions_of", "enumerate_formulas",
+    "max_agent", "modal_depth", "propositions_of", "enumerate_formulas",
 ]
 
 
@@ -193,12 +193,17 @@ MAX_NESTING = 100
 
 # Largest agent index accepted anywhere: a coalition's mask then takes at
 # most 1.25 KB.  Every search enumerates all 2^n coalitions of its n agents
-# (`_eval._columns`), so no search comes near it.
+# (`_eval._columns`), so MAX_REACH_WORK stops a search long before it.
 MAX_AGENT = 10_000
 
 # Most outcomes a model file may define, states times complete action
 # profiles: `parse_model` expands every one, so the count is checked first.
 MAX_OUTCOMES = 65_536
+
+# Most steps one search may spend building reach sets, summed over the
+# blocks it reaches (`_eval._reach_work`): at most a few seconds.  A
+# search checks it before it builds each block.
+MAX_REACH_WORK = 1 << 21
 
 
 def agent_index(text: str) -> int | None:
@@ -277,9 +282,10 @@ def _print(f: Formula, required: int) -> str:
 # recovered by re-scanning only when an error message is built.
 _TOKEN_RE = re.compile(r"<->|->|[a-z][A-Za-z0-9_]*|[0-9]+|[EI!&|()\[\],]|\S")
 
-# Atoms by name, and the constants by keyword.
-_ATOM_CACHE: dict[str, Formula] = {t: c() for c, t in _KEYWORDS.items()}
-_COALITION_CACHE: dict[tuple[int, ...], Coalition] = {}
+# The constants by keyword; atoms and coalitions from bounded caches.
+_CONSTANTS: dict[str, Formula] = {t: c() for c, t in _KEYWORDS.items()}
+_atom = lru_cache(maxsize=4096)(Atom)
+_coalition = lru_cache(maxsize=4096)(Coalition)
 
 _BIN_OPS = {token.strip(): (prec, node, right)
             for node, (token, prec, _, right) in _BINARY.items()}
@@ -334,10 +340,8 @@ def parse_formula(text: str) -> Formula:
         head = tok[:1]
         if "a" <= head <= "z":
             pos += 1
-            atom = _ATOM_CACHE.get(tok)
-            if atom is None:
-                atom = _ATOM_CACHE[tok] = Atom(tok)
-            return atom
+            constant = _CONSTANTS.get(tok)
+            return _atom(tok) if constant is None else constant
         if tok == "(":
             pos += 1
             inner = expr(PREC_IFF)
@@ -375,11 +379,7 @@ def parse_formula(text: str) -> Formula:
         if tokens[pos] != "]":
             _fail(text, pos, ("']'", "','"))
         pos += 1
-        key = tuple(members)
-        c = _COALITION_CACHE.get(key)
-        if c is None:
-            c = _COALITION_CACHE[key] = Coalition(key)
-        return c
+        return _coalition(tuple(members))
 
     try:
         result = expr(PREC_IFF)

@@ -27,7 +27,7 @@ from .semantics import satisfies
 from .validity import Counterexample, default_bounds, find_countermodel
 
 __all__ = [
-    "COLUMNS", "Fixture", "Law", "LawReport", "LawResult",
+    "Fixture", "Law", "LawReport", "LawResult",
     "catalog", "fixture_model", "instantiations", "replay_fixture",
     "run_laws",
 ]

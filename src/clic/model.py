@@ -295,13 +295,29 @@ def print_model(m: CoalitionModel) -> str:
 # ---------------------------------------------------------------------------
 # Enumeration
 
-def size_blocks(b: Bounds) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """(agents, states, action count per agent) in enumeration order."""
-    for n in range(1, b.max_agents + 1):
+def size_blocks(b: Bounds, min_agents: int = 1
+                ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(agents, states, action count per agent) in enumeration order,
+    from min_agents agents on."""
+    for n in range(max(min_agents, 1), b.max_agents + 1):
         for n_states in range(1, b.max_states + 1):
-            for sizes in product(range(1, b.max_actions_per_agent + 1),
-                                 repeat=n):
-                yield n, n_states, sizes
+            yield from ((n, n_states, sizes) for sizes in
+                        _action_counts(n, b.max_actions_per_agent))
+
+
+def _action_counts(n: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Every n-tuple over 1..top in lexicographic order, counted like an
+    odometer: `product` would first build 1..top, however large."""
+    sizes = [1] * n
+    while True:
+        yield tuple(sizes)
+        i = n - 1
+        while i >= 0 and sizes[i] == top:
+            sizes[i] = 1
+            i -= 1
+        if i < 0:
+            return
+        sizes[i] += 1
 
 
 def _layout(n_states: int, sizes: tuple[int, ...]):

@@ -72,7 +72,8 @@ Verdict = Counterexample | NoCounterexampleWithinBounds
 
 def _require_searchable(f: Formula, b: Bounds) -> int:
     """Raise unless b can search f; return max_agent(f).  The only rule on
-    what a bounds can search: every search asks it before it scans."""
+    what a bounds can search: every search asks it before it scans, and
+    `_eval.blocks` bounds the reach sets as the scan reaches each block."""
     need, atoms, depth = measures(f)
     if need > b.max_agents:
         raise BoundsInsufficientForFormula(

@@ -6,8 +6,9 @@ import sys
 import pytest
 
 from clic import parse_formula, parse_model, satisfies
-from clic.formula import MAX_AGENT, MAX_NESTING, MAX_OUTCOMES
-from clic.cli import main
+from clic import cli
+from clic.formula import MAX_AGENT, MAX_NESTING, MAX_OUTCOMES, MAX_REACH_WORK
+from clic.cli import build_parser, main
 
 M1 = """\
 agents 2
@@ -276,6 +277,15 @@ def test_laws_degenerate_bounds_fail_some_rows(capsys):
     assert "anti-monotonicity" in passed
 
 
+@pytest.mark.parametrize("argv", [
+    ("parse", "p"), ("check", "m.clm", "p"), ("translate", "p"),
+    ("countermodel", "p"), ("laws",),
+])
+def test_each_subcommand_binds_its_handler(argv):
+    args = build_parser().parse_args(argv)
+    assert args.run is getattr(cli, f"cmd_{argv[0]}")
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -430,3 +440,31 @@ def test_outcome_count_is_bounded_before_expansion(capsys, tmp_path, agents,
         assert out == ""
         assert err == (f"error: more than {MAX_OUTCOMES} outcomes (states "
                        "times complete action profiles)\n")
+
+
+@pytest.mark.parametrize("argv,code,last", [
+    (("countermodel", "p | !p", "--agents", "4"), 2, None),
+    (("laws", "--agents", "4"), 2, None),
+    (("countermodel", "p | !p", "--agents", "12", "--states", "1"), 2, None),
+    (("countermodel", "p | !p", "--states", "5", "--actions", "3"), 2, None),
+    (("countermodel", "E[30] p", "--agents", "30"), 2, None),
+    (("countermodel", "p", "--actions", "1000000000000"), 1, "at: s1"),
+    (("countermodel", "p", "--agents", "4"), 1, "at: s1"),
+    (("countermodel", "p | !p", "--agents", "3"), 0, "states_checked: 169580"),
+], ids=["agents-4", "laws-agents-4", "agents-12", "states-5-actions-3",
+        "agent-30", "actions-1e12", "agents-4-found-early", "agents-3"])
+def test_reach_sets_are_bounded_as_blocks_are_reached(capsys, argv, code,
+                                                      last):
+    """Each of these ran out of memory (exit 1) or ran on for minutes: a
+    search that passes MAX_REACH_WORK steps is a usage error, while one
+    that stops or exhausts before it keeps its verdict."""
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith(f"error: search too large: its reach sets take "
+                              f"over {MAX_REACH_WORK} steps")
+        assert err.count("\n") == 1
+    else:
+        assert err == ""
+        assert out.splitlines()[-1] == last

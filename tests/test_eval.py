@@ -1,6 +1,7 @@
 """Frame-major engine against the reference semantics."""
 
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,8 +13,11 @@ from clic import (
     propositions_of,
 )
 from clic._eval import (
-    ModelContext, Table, _columns, blocks, compile_formula, first_failure,
+    ModelContext, SearchTooLarge, Table, _columns, _reach_work, blocks,
+    compile_formula, first_failure,
 )
+from clic.errors import ClicError
+from clic.formula import MAX_REACH_WORK
 from clic.validity import _search
 
 PROPS = ("p", "q")
@@ -85,6 +89,31 @@ def test_row_cache_is_shared_per_bounds():
     keys = {(x.n_states, x.sizes) for x in first}
     assert sum(len(_columns(*key)) * len(_columns(*key)[0])
                for key in keys) == 568
+
+
+def test_reach_work_counts_what_the_reach_sets_take():
+    """Per coalition and complete profile: a share of the agents, and a
+    reach-set entry per outcome row."""
+    for block in blocks(Bounds(3, 3, 2, PROPS)):
+        n, rows = block.n_agents, len(block.columns[0])
+        assert len(block.columns) == 1 << n
+        assert rows == block.n_states ** prod(block.sizes)
+        assert _reach_work(block.n_states, block.sizes) == (
+            (1 << n) * prod(block.sizes) * (n + rows))
+
+
+def test_search_stops_at_the_block_past_the_reach_bound():
+    b = Bounds(4, 2, 2, PROPS)
+    reached = []
+    with pytest.raises(SearchTooLarge) as exc:
+        for block in blocks(b):
+            reached.append((block.n_agents, block.n_states, block.sizes))
+    assert isinstance(exc.value, ClicError)
+    assert "agents 4, states 2" in str(exc.value)
+    # Every block before it is built, and the steps they take fit.
+    assert sum(_reach_work(k, sizes) for _, k, sizes in reached
+               ) <= MAX_REACH_WORK
+    assert reached[-1] == (4, 2, (2, 2, 2, 1))
 
 
 def test_tracer_seams_exist():

@@ -11,6 +11,7 @@ from clic import (
     UnknownAction, UnknownAgent, UnknownState, apply, complement,
     enumerate_models, parse_model, print_model, profiles,
 )
+from clic.model import size_blocks
 
 M1 = """\
 agents 2
@@ -237,3 +238,15 @@ def test_fixed_states_self_loop_without_vary():
         for s in m.states[1:]:
             for prof in itertools.product(*m.actions):
                 assert m.outcome[(s, prof)] == s
+
+
+def test_size_blocks_count_action_sizes_lazily():
+    b = Bounds(3, 2, 3)
+    assert list(size_blocks(b)) == [
+        (n, k, sizes) for n in range(1, 4) for k in range(1, 3)
+        for sizes in itertools.product(range(1, 4), repeat=n)]
+    assert list(size_blocks(b, 3)) == list(size_blocks(b))[-54:]
+    # No range of action counts is built first, however large the bound.
+    huge = size_blocks(Bounds(2, 1, 10 ** 12))
+    assert next(huge) == (1, 1, (1,))
+    assert next(huge) == (1, 1, (2,))
