@@ -284,8 +284,13 @@ _TOKEN_RE = re.compile(r"<->|->|[a-z][A-Za-z0-9_]*|[0-9]+|[EI!&|()\[\],]|\S")
 
 # The constants by keyword; atoms and coalitions from bounded caches.
 _CONSTANTS: dict[str, Formula] = {t: c() for c, t in _KEYWORDS.items()}
-_atom = lru_cache(maxsize=4096)(Atom)
 _coalition = lru_cache(maxsize=4096)(Coalition)
+
+
+@lru_cache(maxsize=4096)
+def _leaf(name: str) -> Formula:
+    """The constant a keyword names, else the atom: one lookup a leaf."""
+    return _CONSTANTS[name] if name in _CONSTANTS else Atom(name)
 
 _BIN_OPS = {token.strip(): (prec, node, right)
             for node, (token, prec, _, right) in _BINARY.items()}
@@ -340,8 +345,7 @@ def parse_formula(text: str) -> Formula:
         head = tok[:1]
         if "a" <= head <= "z":
             pos += 1
-            constant = _CONSTANTS.get(tok)
-            return _atom(tok) if constant is None else constant
+            return _leaf(tok)
         if tok == "(":
             pos += 1
             inner = expr(PREC_IFF)

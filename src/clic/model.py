@@ -301,8 +301,8 @@ def size_blocks(b: Bounds, min_agents: int = 1
     from min_agents agents on."""
     for n in range(max(min_agents, 1), b.max_agents + 1):
         for n_states in range(1, b.max_states + 1):
-            yield from ((n, n_states, sizes) for sizes in
-                        _action_counts(n, b.max_actions_per_agent))
+            for sizes in _action_counts(n, b.max_actions_per_agent):
+                yield n, n_states, sizes
 
 
 def _action_counts(n: int, top: int) -> Iterator[tuple[int, ...]]:

@@ -358,7 +358,7 @@ def test_printed_form_is_stable(f):
 def test_parser_caches_are_bounded():
     for i in range(5000):
         parse_formula(f"E[{i % 7 + 1},{i + 8}] a{i}")
-    assert clic.formula._atom.cache_info().currsize <= 4096
+    assert clic.formula._leaf.cache_info().currsize <= 4096
     assert clic.formula._coalition.cache_info().currsize <= 4096
     # Repeated names still share one object, and keywords stay constants.
     f = parse_formula("a4999 & a4999 & true")

@@ -14,12 +14,13 @@ MODULES = [importlib.import_module(f"clic.{info.name}")
 
 
 def test_every_public_name_has_exactly_one_owner():
-    owners = Counter(name for m in MODULES for name in getattr(m, "__all__", ()))
+    declared = [(m, name) for m in MODULES
+                for name in getattr(m, "__all__", ())]
+    owners = Counter(name for _, name in declared)
     assert sorted(owners) == sorted(clic.__all__)
     assert [name for name, n in owners.items() if n > 1] == []
-    for m in MODULES:
-        for name in getattr(m, "__all__", ()):
-            assert getattr(clic, name) is getattr(m, name)
+    for m, name in declared:
+        assert getattr(clic, name) is getattr(m, name)
 
 
 def test_star_import_binds_exactly_all():
