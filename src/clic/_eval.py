@@ -9,7 +9,8 @@ valuations are evaluated at once in lane vectors: ints whose bit v is
 the truth under valuation v.  E[C] g at s is the OR, over the minimal
 state sets C's joint actions reach from s, of the AND of g over each
 set, and I[C] g is its complement.  A block is cached by what it is
-(props, vary_all_states, n_states, sizes), not by the bounds around it.
+(props, vary_all_states, n_states, sizes), not by the bounds around it,
+and builds a coalition's reach sets when a bind first reads them.
 
 A formula takes its value in a block in one recursive walk of its AST,
 dispatched on node type as in `semantics.extension`.  The value's type
@@ -35,8 +36,8 @@ from typing import Iterator
 
 from .errors import ClicError
 from .formula import (
-    MAX_REACH_WORK, Ability, And, Atom, Bot, Formula, Iff, Implies, Inability,
-    Not, Or, Top,
+    MAX_REACH_WORK, MAX_VALUATIONS, Ability, And, Atom, Bot, Formula, Iff,
+    Implies, Inability, Not, Or, Top,
 )
 from .model import Bounds, CoalitionModel, _layout, size_blocks
 
@@ -45,7 +46,7 @@ __all__ = ["ModelContext", "SearchTooLarge", "blocks", "compile_formula",
 
 
 class SearchTooLarge(ClicError):
-    """The reach sets a search would build take over MAX_REACH_WORK steps."""
+    """A search would reach a block past MAX_VALUATIONS or MAX_REACH_WORK."""
 
 
 @lru_cache(maxsize=64)
@@ -62,25 +63,24 @@ def _lanes(n_states: int, n_props: int):
                  for j in range(n_props)), full
 
 
-@lru_cache(maxsize=64)
-def _columns(n_states: int, sizes: tuple[int, ...]) -> tuple[tuple, ...]:
-    """Per coalition bitmask, per outcome row, the minimal reach sets; a
-    row holds a state's targets per complete profile, and rows are
-    numbered in the order enumerate_models assigns outcomes in."""
-    n = len(sizes)
-    full = list(product(*map(range, sizes)))
-    rows = list(product(range(n_states), repeat=len(full)))
-    shares = [[tuple(p[i] for i in range(n) if c >> i & 1) for p in full]
-              for c in range(1 << n)]
-    return tuple(tuple(_minimal_reach(share, row) for row in rows)
-                 for share in shares)
+@lru_cache(maxsize=256)
+def _column(n_states: int, sizes: tuple[int, ...], mask: int) -> tuple:
+    """Per outcome row, the minimal reach sets of coalition `mask`; a row
+    holds a state's targets per complete profile, and rows are numbered
+    in the order enumerate_models assigns outcomes in."""
+    share = [tuple(p[i] for i in range(len(sizes)) if mask >> i & 1)
+             for p in product(*map(range, sizes))]
+    return tuple(_minimal_reach(share, row)
+                 for row in product(range(n_states), repeat=len(share)))
 
 
-def _reach_work(n_states: int, sizes: tuple[int, ...]) -> int:
-    """The steps _columns takes: per coalition and complete profile, one
-    share (of the agents) and one reach-set entry per outcome row."""
-    profiles = prod(sizes)
-    return (1 << len(sizes)) * profiles * (len(sizes) + n_states ** profiles)
+def _reach_work(n_states: int, sizes: tuple[int, ...], masks) -> int:
+    """The steps a block takes: one per agent, state and complete profile,
+    and per coalition of `masks` within its agents and complete profile,
+    one share (of the agents) and one reach-set entry per outcome row."""
+    n, profiles = len(sizes), prod(sizes)
+    named = sum(1 for c in masks if not c >> n)
+    return n + n_states + profiles * (1 + named * (n + n_states ** profiles))
 
 
 def _minimal_reach(share: list, row: tuple[int, ...]) -> tuple:
@@ -102,19 +102,19 @@ Table = list
 
 class ModelContext:
     """The evaluation context of one size block of a model space: its
-    frames, its valuation lanes and its reach sets per outcome row."""
+    frames, its valuation lanes and the reach sets of the coalitions read."""
 
     def __init__(self, props: tuple[str, ...], vary_all_states: bool,
                  n_states: int, sizes: tuple[int, ...]):
         self.props, self.sizes = props, sizes
         self.n_agents, self.n_states = len(sizes), n_states
-        self.columns = _columns(n_states, sizes)
+        self.columns: dict[int, tuple] = {}    # by coalition mask
         self.atoms, self.full = _lanes(n_states, len(props))
         self.top, self.bot = (self.full,) * n_states, (0,) * n_states
         self.ones = repeat(self.full)
         # A frame picks a row per state.  Unless all states vary, state i > 0
         # loops to itself: row (i, ..., i), number i*(rows-1)/(n_states-1).
-        rows = len(self.columns[0])
+        rows = n_states ** prod(sizes)
         self.choices = [
             range(rows) if vary_all_states or i == 0
             else (i * (rows - 1) // (n_states - 1),) for i in range(n_states)]
@@ -124,6 +124,12 @@ class ModelContext:
         # Tables of modalities over constant bodies, keyed by coalition,
         # negation and body: instances of one scheme share most of them.
         self.memo: dict = {}
+
+    def column(self, mask: int) -> tuple:
+        """Coalition mask's reach sets per outcome row, built on first read."""
+        if mask not in self.columns:
+            self.columns[mask] = _column(self.n_states, self.sizes, mask)
+        return self.columns[mask]
 
     def frames(self) -> Iterator[tuple[int, ...]]:
         """Every frame, in enumeration order."""
@@ -151,30 +157,35 @@ class ModelContext:
 _block = lru_cache(maxsize=256)(ModelContext)
 
 
-@lru_cache(maxsize=64)
-def _plan(b: Bounds, min_agents: int) -> tuple[tuple, ...]:
-    """The size blocks of b with min_agents+ agents in order, each with
-    the reach-set steps up to it; ends at the first past MAX_REACH_WORK."""
+@lru_cache(maxsize=256)
+def _plan(b: Bounds, min_agents: int, masks: frozenset[int]) -> tuple:
+    """b's size blocks with min_agents+ agents in order, each with the steps
+    up to it, and the error at the first block past a bound, or None."""
     plan, work = [], 0
     for n_agents, n_states, sizes in size_blocks(b, min_agents):
-        work += _reach_work(n_states, sizes)
-        plan.append((n_agents, n_states, sizes, work))
-        if work > MAX_REACH_WORK:
-            break
-    return tuple(plan)
+        work += _reach_work(n_states, sizes, masks)
+        if 1 << n_states * len(b.props) > MAX_VALUATIONS:
+            why = f"over {MAX_VALUATIONS} valuations"
+        elif work > MAX_REACH_WORK:
+            why = f"its blocks take over {MAX_REACH_WORK} steps to build"
+        else:
+            plan.append((n_agents, n_states, sizes, work))
+            continue
+        return tuple(plan), (f"search too large: {why}, at the block of "
+                             f"agents {n_agents}, states {n_states}")
+    return tuple(plan), None
 
 
-def blocks(b: Bounds, min_agents: int = 1) -> Iterator[ModelContext]:
-    """The blocks of b with min_agents+ agents in order; each is built
-    when reached, so an early stop skips the reach sets of the rest.
-    Raises SearchTooLarge on reaching one past MAX_REACH_WORK."""
-    for n_agents, n_states, sizes, work in _plan(b, min_agents):
-        if work > MAX_REACH_WORK:
-            raise SearchTooLarge(
-                f"search too large: its reach sets take over "
-                f"{MAX_REACH_WORK} steps by the block of agents {n_agents}, "
-                f"states {n_states}")
+def blocks(b: Bounds, min_agents: int = 1,
+           masks: frozenset[int] = frozenset()) -> Iterator[ModelContext]:
+    """The blocks of b with min_agents+ agents in order, charged for the
+    reach sets of coalitions `masks`, each built when reached.  Raises
+    SearchTooLarge on reaching one past MAX_VALUATIONS or MAX_REACH_WORK."""
+    plan, stop = _plan(b, min_agents, masks)
+    for _, n_states, sizes, _ in plan:
         yield _block(b.props, b.vary_all_states, n_states, sizes)
+    if stop:
+        raise SearchTooLarge(stop)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +210,9 @@ def _bind(g: Formula, block: ModelContext):
         return block.bot
     if kind is Ability or kind is Inability:
         c, x = g.coalition.mask, _bind(g.body, block)
-        column, flip = block.columns[c], block.full if kind is Inability else 0
+        flip = block.full if kind is Inability else 0
         if type(x) is not tuple:
-            at = block.at
+            at, column = block.at, block.column(c)
 
             def value(fr):      # the body once per frame, not per state
                 y = at(x, fr)
@@ -212,9 +223,9 @@ def _bind(g: Formula, block: ModelContext):
         if table is None:
             if len(block.memo) > 4096:
                 block.memo.clear()
-            get = [flip ^ _reach(x, sets) for sets in column].__getitem__
+            reach = [flip ^ _reach(x, sets) for sets in block.column(c)]
             table = block.memo[key] = Table(
-                tuple(map(get, ch)) for ch in block.choices)
+                tuple(map(reach.__getitem__, ch)) for ch in block.choices)
         return table
     if kind is Not:             # !x is x -> false
         op, x, y = _OPS[Implies], _bind(g.body, block), block.bot

@@ -192,18 +192,19 @@ PREC_UNARY = 5
 MAX_NESTING = 100
 
 # Largest agent index accepted anywhere: a coalition's mask then takes at
-# most 1.25 KB.  Every search enumerates all 2^n coalitions of its n agents
-# (`_eval._columns`), so MAX_REACH_WORK stops a search long before it.
+# most 1.25 KB.  A search pays a floor per block that grows with its agents
+# (`_eval._reach_work`), so MAX_REACH_WORK stops a search long before it.
 MAX_AGENT = 10_000
 
 # Most outcomes a model file may define, states times complete action
 # profiles: `parse_model` expands every one, so the count is checked first.
 MAX_OUTCOMES = 65_536
 
-# Most steps one search may spend building reach sets, summed over the
-# blocks it reaches (`_eval._reach_work`): at most a few seconds.  A
-# search checks it before it builds each block.
+# Most steps the blocks one search reaches may take to build, a floor each
+# and the reach sets of the coalitions it names (`_eval._reach_work`), and
+# most valuations of one block; a search checks both before each block.
 MAX_REACH_WORK = 1 << 21
+MAX_VALUATIONS = 1 << 18
 
 
 def agent_index(text: str) -> int | None:
@@ -417,13 +418,14 @@ def walk(f: Formula, counted=(Ability, Inability)
             stack += [(g.right, depth), (g.left, depth)]
 
 
-def measures(f: Formula) -> tuple[int, set[str], int]:
-    """(max_agent, atoms, modal_depth) of f, in one walk."""
+def measures(f: Formula) -> tuple[int, set[str], int, frozenset[int]]:
+    """(max_agent, atoms, modal_depth, coalition masks) of f, in one walk."""
     nodes = list(walk(f))
     modal = [(g, d) for g, d in nodes if isinstance(g, (Ability, Inability))]
-    return (max((g.coalition.max_agent() for g, _ in modal), default=0),
+    masks = frozenset(g.coalition.mask for g, _ in modal)
+    return (max(masks, default=0).bit_length(),
             {g.name for g, _ in nodes if type(g) is Atom},
-            max((d + 1 for _, d in modal), default=0))
+            max((d + 1 for _, d in modal), default=0), masks)
 
 
 def modal_depth(f: Formula) -> int:

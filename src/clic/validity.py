@@ -70,11 +70,11 @@ class NoCounterexampleWithinBounds:
 Verdict = Counterexample | NoCounterexampleWithinBounds
 
 
-def _require_searchable(f: Formula, b: Bounds) -> int:
-    """Raise unless b can search f; return max_agent(f).  The only rule on
-    what a bounds can search: every search asks it before it scans, and
-    `_eval.blocks` bounds the reach sets as the scan reaches each block."""
-    need, atoms, depth = measures(f)
+def _require_searchable(f: Formula, b: Bounds) -> tuple[int, frozenset[int]]:
+    """Raise unless b can search f; return max_agent(f) and its coalition
+    masks.  The only rule on what a bounds can search: every search asks
+    it before it scans, and `_eval.blocks` bounds the blocks it reaches."""
+    need, atoms, depth, masks = measures(f)
     if need > b.max_agents:
         raise BoundsInsufficientForFormula(
             f"formula mentions agent {need} but bounds allow "
@@ -87,7 +87,7 @@ def _require_searchable(f: Formula, b: Bounds) -> int:
         raise BoundsInsufficientForFormula(
             "nested modalities need vary_all_states=True: without it the "
             "search only varies outcomes at initial states")
-    return need
+    return need, masks
 
 
 def _search(f: Formula, b: Bounds) -> tuple[Verdict, int, int]:
@@ -96,10 +96,10 @@ def _search(f: Formula, b: Bounds) -> tuple[Verdict, int, int]:
     Models with fewer agents than f mentions cannot interpret f and are
     skipped without being counted.
     """
-    need = _require_searchable(f, b)
+    need, masks = _require_searchable(f, b)
     compiled = compile_formula(f)
     models_checked = states_checked = 0
-    for block in blocks(b, need):
+    for block in blocks(b, need, masks):
         checked, m, state = first_failure(compiled, block)
         models_checked += checked
         states_checked += checked * block.n_states
@@ -140,7 +140,7 @@ def minimal_countermodel(f: Formula, b: Bounds) -> Verdict:
     at which the search succeeded.  Tuples with fewer agents than f
     mentions are skipped; a formula that b itself cannot search raises.
     """
-    need = _require_searchable(f, b)
+    need = _require_searchable(f, b)[0]
     visited = 0
     for size in product(range(1, b.max_states + 1),
                         range(1, b.max_actions_per_agent + 1),

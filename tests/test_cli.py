@@ -7,7 +7,9 @@ import pytest
 
 from clic import parse_formula, parse_model, satisfies
 from clic import cli
-from clic.formula import MAX_AGENT, MAX_NESTING, MAX_OUTCOMES, MAX_REACH_WORK
+from clic.formula import (
+    MAX_AGENT, MAX_NESTING, MAX_OUTCOMES, MAX_REACH_WORK, MAX_VALUATIONS,
+)
 from clic.cli import build_parser, main
 
 M1 = """\
@@ -442,29 +444,50 @@ def test_outcome_count_is_bounded_before_expansion(capsys, tmp_path, agents,
                        "times complete action profiles)\n")
 
 
-@pytest.mark.parametrize("argv,code,last", [
-    (("countermodel", "p | !p", "--agents", "4"), 2, None),
-    (("laws", "--agents", "4"), 2, None),
-    (("countermodel", "p | !p", "--agents", "12", "--states", "1"), 2, None),
-    (("countermodel", "p | !p", "--states", "5", "--actions", "3"), 2, None),
-    (("countermodel", "E[30] p", "--agents", "30"), 2, None),
-    (("countermodel", "p", "--actions", "1000000000000"), 1, "at: s1"),
-    (("countermodel", "p", "--agents", "4"), 1, "at: s1"),
-    (("countermodel", "p | !p", "--agents", "3"), 0, "states_checked: 169580"),
+_REACH = (f"search too large: its blocks take over {MAX_REACH_WORK} steps "
+          f"to build, at the block of agents ")
+_LANES = f"search too large: over {MAX_VALUATIONS} valuations, at the block "
+
+
+@pytest.mark.parametrize("argv,code,tail", [
+    (("countermodel", "p | !p", "--agents", "4"), 0,
+     ("models_checked: 344911660", "states_checked: 1034466764")),
+    (("laws", "--agents", "4"), 2, _REACH + "4, states 3"),
+    (("countermodel", "p | !p", "--agents", "12", "--states", "1"), 0,
+     ("models_checked: 16380", "states_checked: 16380")),
+    (("countermodel", "p | !p", "--states", "5", "--actions", "3"), 0,
+     ("models_checked: 68041656", "states_checked: 335525016")),
+    (("countermodel", "E[30] p", "--agents", "30"), 1, ("at: s1",)),
+    (("countermodel", "p", "--actions", "1000000000000"), 1, ("at: s1",)),
+    (("countermodel", "p | !p", "--actions", "1000000000000"), 2,
+     _REACH + "1, states 1"),
+    (("countermodel", "p", "--agents", "4"), 1, ("at: s1",)),
+    (("countermodel", "E[1] p | !E[1] p", "--agents", "4"), 2,
+     _REACH + "4, states 3"),
+    (("countermodel", "p | !p", "--agents", "3"), 0,
+     ("models_checked: 57012", "states_checked: 169580")),
+    (("countermodel", "p | !p", "--agents", "10000", "--states", "1",
+      "--actions", "1"), 2, _REACH + "2046, states 1"),
+    (("countermodel", "p | !p", "--agents", "1", "--actions", "1",
+      "--states", "24"), 2, _LANES + "of agents 1, states 19"),
 ], ids=["agents-4", "laws-agents-4", "agents-12", "states-5-actions-3",
-        "agent-30", "actions-1e12", "agents-4-found-early", "agents-3"])
+        "agent-30", "actions-1e12", "actions-1e12-exhausting",
+        "agents-4-found-early", "named-agents-4", "agents-3",
+        "agents-10000", "states-24"])
 def test_reach_sets_are_bounded_as_blocks_are_reached(capsys, argv, code,
-                                                      last):
-    """Each of these ran out of memory (exit 1) or ran on for minutes: a
-    search that passes MAX_REACH_WORK steps is a usage error, while one
-    that stops or exhausts before it keeps its verdict."""
+                                                      tail):
+    """Each of these ran out of memory (exit 1) or ran on for minutes
+    before searches were bounded: a search that passes MAX_REACH_WORK
+    steps, or reaches a block of over MAX_VALUATIONS valuations, is a
+    usage error, while one that stops or exhausts before it keeps its
+    verdict.  A search is charged a floor per block and the reach sets
+    of the coalitions its formula names only, so a formula that names
+    none exhausts a space whose every coalition's reach sets would not
+    fit."""
     got, out, err = run(capsys, *argv)
     assert got == code
     if code == 2:
-        assert out == ""
-        assert err.startswith(f"error: search too large: its reach sets take "
-                              f"over {MAX_REACH_WORK} steps")
-        assert err.count("\n") == 1
+        assert (out, err) == ("", f"error: {tail}\n")
     else:
         assert err == ""
-        assert out.splitlines()[-1] == last
+        assert out.splitlines()[-len(tail):] == list(tail)

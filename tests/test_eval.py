@@ -13,8 +13,8 @@ from clic import (
     propositions_of,
 )
 from clic._eval import (
-    ModelContext, SearchTooLarge, Table, _columns, _reach_work, blocks,
-    compile_formula, first_failure,
+    ModelContext, SearchTooLarge, Table, _block, _column, _plan, _reach_work,
+    blocks, compile_formula, first_failure,
 )
 from clic.errors import ClicError
 from clic.formula import MAX_REACH_WORK
@@ -84,36 +84,62 @@ def test_row_cache_is_shared_per_bounds():
     other = next(x for x in blocks(Bounds(2, 3, 2, ("p",)))
                  if x.sizes == (2, 2) and x.n_states == 3)
     mine = next(x for x in first if x.sizes == (2, 2) and x.n_states == 3)
-    assert other.columns is mine.columns
+    assert all(other.column(c) is mine.column(c) for c in range(4))
     # At default bounds the cache is a few hundred small tuples.
     keys = {(x.n_states, x.sizes) for x in first}
-    assert sum(len(_columns(*key)) * len(_columns(*key)[0])
-               for key in keys) == 568
+    assert sum(len(_column(k, sizes, c)) for k, sizes in keys
+               for c in range(1 << len(sizes))) == 568
 
 
 def test_reach_work_counts_what_the_reach_sets_take():
-    """Per coalition and complete profile: a share of the agents, and a
-    reach-set entry per outcome row."""
+    """A floor per agent, state and complete profile; per coalition named
+    within the agents and per complete profile, a share of the agents and
+    a reach-set entry per outcome row."""
     for block in blocks(Bounds(3, 3, 2, PROPS)):
-        n, rows = block.n_agents, len(block.columns[0])
-        assert len(block.columns) == 1 << n
-        assert rows == block.n_states ** prod(block.sizes)
-        assert _reach_work(block.n_states, block.sizes) == (
-            (1 << n) * prod(block.sizes) * (n + rows))
+        n, k, profiles = block.n_agents, block.n_states, prod(block.sizes)
+        everyone = range(1 << n)
+        rows = {len(block.column(c)) for c in everyone}
+        assert rows == {k ** profiles}
+        floor = n + k + profiles
+        assert _reach_work(k, block.sizes, ()) == floor
+        assert _reach_work(k, block.sizes, {1 << n}) == floor
+        assert _reach_work(k, block.sizes, everyone) == floor + (
+            (1 << n) * profiles * (n + rows.pop()))
+
+
+def test_search_builds_and_is_charged_for_the_coalitions_it_names():
+    """E[1] p | I[1] p names coalition [1] alone: each block it exhausts
+    builds that coalition's reach sets and no other, and the search is
+    charged for those and the blocks' floors."""
+    b, masks = Bounds(2, 3, 2, ("p",)), frozenset({1})
+    _block.cache_clear()
+    verdict, _, _ = _search(parse_formula("E[1] p | I[1] p"), b)
+    assert verdict.models_checked == sum(x.n_models for x in blocks(b))
+    plan, stop = _plan(b, 1, masks)
+    assert stop is None
+    work = 0
+    for (n, k, sizes, charged), block in zip(plan, blocks(b, 1, masks),
+                                             strict=True):
+        assert (block.n_agents, block.n_states, block.sizes) == (n, k, sizes)
+        assert list(block.columns) == [1]
+        work += n + k + prod(sizes) + prod(sizes) * (n + len(block.columns[1]))
+        assert charged == work
 
 
 def test_search_stops_at_the_block_past_the_reach_bound():
-    b = Bounds(4, 2, 2, PROPS)
+    b, everyone = Bounds(4, 2, 2, PROPS), frozenset(range(16))
     reached = []
     with pytest.raises(SearchTooLarge) as exc:
-        for block in blocks(b):
+        for block in blocks(b, 1, everyone):
             reached.append((block.n_agents, block.n_states, block.sizes))
     assert isinstance(exc.value, ClicError)
     assert "agents 4, states 2" in str(exc.value)
     # Every block before it is built, and the steps they take fit.
-    assert sum(_reach_work(k, sizes) for _, k, sizes in reached
+    assert sum(_reach_work(k, sizes, everyone) for _, k, sizes in reached
                ) <= MAX_REACH_WORK
     assert reached[-1] == (4, 2, (2, 2, 2, 1))
+    # Charged for its floors alone, the same space fits.
+    assert len(list(blocks(b))) == len(reached) + 1
 
 
 def test_tracer_seams_exist():
@@ -162,7 +188,7 @@ def test_reach_sets_match_joint_actions():
                     frozenset(m.states.index(apply(m, s, pc, pd))
                               for pd in others)
                     for pc in profiles(m, c))
-                got = sorted(frozenset(r) for r in block.columns[mask][fr[i]])
+                got = sorted(frozenset(r) for r in block.column(mask)[fr[i]])
                 assert got == want
 
 
