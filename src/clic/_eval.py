@@ -36,8 +36,8 @@ from typing import Iterator
 
 from .errors import ClicError
 from .formula import (
-    MAX_REACH_WORK, MAX_VALUATIONS, Ability, And, Atom, Bot, Formula, Iff,
-    Implies, Inability, Not, Or, Top,
+    MAX_FRAME_BITS, MAX_REACH_WORK, MAX_ROW_BITS, MAX_VALUATIONS, Ability, And,
+    Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
 )
 from .model import Bounds, CoalitionModel, _layout, size_blocks
 
@@ -46,7 +46,7 @@ __all__ = ["ModelContext", "SearchTooLarge", "blocks", "compile_formula",
 
 
 class SearchTooLarge(ClicError):
-    """A search would reach a block past MAX_VALUATIONS or MAX_REACH_WORK."""
+    """A search would reach a block past one of the bounds `_plan` checks."""
 
 
 @lru_cache(maxsize=64)
@@ -76,10 +76,10 @@ def _column(n_states: int, sizes: tuple[int, ...], mask: int) -> tuple:
 
 def _reach_work(n_states: int, sizes: tuple[int, ...], masks) -> int:
     """The steps a block takes: one per agent, state and complete profile,
-    and per coalition of `masks` within its agents and complete profile,
-    one share (of the agents) and one reach-set entry per outcome row."""
+    and per coalition of `masks` (None: every one) within its agents and
+    complete profile, one share and one reach-set entry per outcome row."""
     n, profiles = len(sizes), prod(sizes)
-    named = sum(1 for c in masks if not c >> n)
+    named = 1 << n if masks is None else sum(1 for c in masks if not c >> n)
     return n + n_states + profiles * (1 + named * (n + n_states ** profiles))
 
 
@@ -102,13 +102,12 @@ Table = list
 
 class ModelContext:
     """The evaluation context of one size block of a model space: its
-    frames, its valuation lanes and the reach sets of the coalitions read."""
+    frames and its valuation lanes; `_column` holds its reach sets."""
 
     def __init__(self, props: tuple[str, ...], vary_all_states: bool,
                  n_states: int, sizes: tuple[int, ...]):
         self.props, self.sizes = props, sizes
         self.n_agents, self.n_states = len(sizes), n_states
-        self.columns: dict[int, tuple] = {}    # by coalition mask
         self.atoms, self.full = _lanes(n_states, len(props))
         self.top, self.bot = (self.full,) * n_states, (0,) * n_states
         self.ones = repeat(self.full)
@@ -124,12 +123,6 @@ class ModelContext:
         # Tables of modalities over constant bodies, keyed by coalition,
         # negation and body: instances of one scheme share most of them.
         self.memo: dict = {}
-
-    def column(self, mask: int) -> tuple:
-        """Coalition mask's reach sets per outcome row, built on first read."""
-        if mask not in self.columns:
-            self.columns[mask] = _column(self.n_states, self.sizes, mask)
-        return self.columns[mask]
 
     def frames(self) -> Iterator[tuple[int, ...]]:
         """Every frame, in enumeration order."""
@@ -158,16 +151,20 @@ _block = lru_cache(maxsize=256)(ModelContext)
 
 
 @lru_cache(maxsize=256)
-def _plan(b: Bounds, min_agents: int, masks: frozenset[int]) -> tuple:
+def _plan(b: Bounds, min_agents: int, masks: frozenset[int] | None) -> tuple:
     """b's size blocks with min_agents+ agents in order, each with the steps
     up to it, and the error at the first block past a bound, or None."""
     plan, work = [], 0
     for n_agents, n_states, sizes in size_blocks(b, min_agents):
         work += _reach_work(n_states, sizes, masks)
+        rows = n_states ** prod(sizes)
         if 1 << n_states * len(b.props) > MAX_VALUATIONS:
             why = f"over {MAX_VALUATIONS} valuations"
         elif work > MAX_REACH_WORK:
             why = f"its blocks take over {MAX_REACH_WORK} steps to build"
+        elif rows > 1 << MAX_ROW_BITS or 1 << MAX_FRAME_BITS < (
+                rows ** n_states if b.vary_all_states else rows):
+            why = f"over 2**{MAX_ROW_BITS} rows or 2**{MAX_FRAME_BITS} frames"
         else:
             plan.append((n_agents, n_states, sizes, work))
             continue
@@ -177,10 +174,10 @@ def _plan(b: Bounds, min_agents: int, masks: frozenset[int]) -> tuple:
 
 
 def blocks(b: Bounds, min_agents: int = 1,
-           masks: frozenset[int] = frozenset()) -> Iterator[ModelContext]:
+           masks: frozenset | None = frozenset()) -> Iterator[ModelContext]:
     """The blocks of b with min_agents+ agents in order, charged for the
-    reach sets of coalitions `masks`, each built when reached.  Raises
-    SearchTooLarge on reaching one past MAX_VALUATIONS or MAX_REACH_WORK."""
+    reach sets of coalitions `masks` (None: every one), each built when
+    reached.  Raises SearchTooLarge on reaching one past a bound."""
     plan, stop = _plan(b, min_agents, masks)
     for _, n_states, sizes, _ in plan:
         yield _block(b.props, b.vary_all_states, n_states, sizes)
@@ -212,7 +209,7 @@ def _bind(g: Formula, block: ModelContext):
         c, x = g.coalition.mask, _bind(g.body, block)
         flip = block.full if kind is Inability else 0
         if type(x) is not tuple:
-            at, column = block.at, block.column(c)
+            at, column = block.at, _column(block.n_states, block.sizes, c)
 
             def value(fr):      # the body once per frame, not per state
                 y = at(x, fr)
@@ -223,7 +220,8 @@ def _bind(g: Formula, block: ModelContext):
         if table is None:
             if len(block.memo) > 4096:
                 block.memo.clear()
-            reach = [flip ^ _reach(x, sets) for sets in block.column(c)]
+            reach = [flip ^ _reach(x, sets)
+                     for sets in _column(block.n_states, block.sizes, c)]
             table = block.memo[key] = Table(
                 tuple(map(reach.__getitem__, ch)) for ch in block.choices)
         return table

@@ -201,10 +201,12 @@ MAX_AGENT = 10_000
 MAX_OUTCOMES = 65_536
 
 # Most steps the blocks one search reaches may take to build, a floor each
-# and the reach sets of the coalitions it names (`_eval._reach_work`), and
-# most valuations of one block; a search checks both before each block.
+# and the reach sets of the coalitions it names (`_eval._reach_work`); per
+# block, most valuations, and most bits of a state's outcome row count (a
+# range() length) and of the frame count (so counts print in 4,300 digits).
 MAX_REACH_WORK = 1 << 21
 MAX_VALUATIONS = 1 << 18
+MAX_ROW_BITS, MAX_FRAME_BITS = 62, 14_000
 
 
 def agent_index(text: str) -> int | None:

@@ -88,13 +88,13 @@ def check_truth_preservation(b: Bounds,
     """
     if max_formula_depth < 0:
         raise BoundsTooSmall("no formulas below depth 0")
-    jobs = [(f, *_require_searchable(f, b), compile_formula(translate(f)))
+    jobs = [(f, _require_searchable(f, b)[0], compile_formula(translate(f)))
             for f in enumerate_formulas(b.props, b.max_agents,
                                         max_formula_depth)]
-    masks = frozenset().union(*(named for _, _, named, _ in jobs))
-    total, violations, space = 0, [], list(blocks(b, 1, masks))
+    # The grid walks every model, so it is charged for every coalition.
+    total, violations, space = 0, [], list(blocks(b, 1, None))
     for block in space:
-        bound = [(f, c(block)) for f, need, _, c in jobs
+        bound = [(f, c(block)) for f, need, c in jobs
                  if need <= block.n_agents]
         total += len(bound) * block.n_models * block.n_states
         for fr in block.frames():

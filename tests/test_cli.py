@@ -8,7 +8,8 @@ import pytest
 from clic import parse_formula, parse_model, satisfies
 from clic import cli
 from clic.formula import (
-    MAX_AGENT, MAX_NESTING, MAX_OUTCOMES, MAX_REACH_WORK, MAX_VALUATIONS,
+    MAX_AGENT, MAX_FRAME_BITS, MAX_NESTING, MAX_OUTCOMES, MAX_REACH_WORK,
+    MAX_ROW_BITS, MAX_VALUATIONS,
 )
 from clic.cli import build_parser, main
 
@@ -447,6 +448,8 @@ def test_outcome_count_is_bounded_before_expansion(capsys, tmp_path, agents,
 _REACH = (f"search too large: its blocks take over {MAX_REACH_WORK} steps "
           f"to build, at the block of agents ")
 _LANES = f"search too large: over {MAX_VALUATIONS} valuations, at the block "
+_ROWS = (f"search too large: over 2**{MAX_ROW_BITS} rows or 2**{MAX_FRAME_BITS}"
+         f" frames, at the block of agents ")
 
 
 @pytest.mark.parametrize("argv,code,tail", [
@@ -470,17 +473,22 @@ _LANES = f"search too large: over {MAX_VALUATIONS} valuations, at the block "
       "--actions", "1"), 2, _REACH + "2046, states 1"),
     (("countermodel", "p | !p", "--agents", "1", "--actions", "1",
       "--states", "24"), 2, _LANES + "of agents 1, states 19"),
+    (("countermodel", "p | !p", "--agents", "6"), 2, _ROWS + "6, states 2"),
+    (("countermodel", "p | !p", "--actions", "9"), 2, _ROWS + "2, states 2"),
+    (("countermodel", "true", "--agents", "1", "--actions", "1",
+      "--states", "1500", "--all-states"), 2, _ROWS + "1, states 1347"),
 ], ids=["agents-4", "laws-agents-4", "agents-12", "states-5-actions-3",
         "agent-30", "actions-1e12", "actions-1e12-exhausting",
         "agents-4-found-early", "named-agents-4", "agents-3",
-        "agents-10000", "states-24"])
+        "agents-10000", "states-24", "agents-6", "actions-9",
+        "all-states-1500"])
 def test_reach_sets_are_bounded_as_blocks_are_reached(capsys, argv, code,
                                                       tail):
     """Each of these ran out of memory (exit 1) or ran on for minutes
     before searches were bounded: a search that passes MAX_REACH_WORK
-    steps, or reaches a block of over MAX_VALUATIONS valuations, is a
-    usage error, while one that stops or exhausts before it keeps its
-    verdict.  A search is charged a floor per block and the reach sets
+    steps, or reaches a block of over MAX_VALUATIONS valuations or whose
+    rows or frames pass MAX_ROW_BITS or MAX_FRAME_BITS bits, is a usage
+    error, while one that stops or exhausts before it keeps its verdict.  A search is charged a floor per block and the reach sets
     of the coalitions its formula names only, so a formula that names
     none exhausts a space whose every coalition's reach sets would not
     fit."""

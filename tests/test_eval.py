@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from clic import (
     Ability, And, Atom, Bounds, Coalition, Counterexample, Inability, Not,
-    apply, complement, default_bounds, enumerate_formulas, enumerate_models,
-    extension, max_agent, modal_depth, parse_formula, profiles,
-    propositions_of,
+    apply, check_truth_preservation, complement, default_bounds,
+    enumerate_formulas, enumerate_models, extension, max_agent, modal_depth,
+    parse_formula, profiles, propositions_of,
 )
 from clic._eval import (
     ModelContext, SearchTooLarge, Table, _block, _column, _plan, _reach_work,
@@ -80,11 +80,16 @@ def test_row_cache_is_shared_per_bounds():
     narrow = blocks(Bounds(1, 2, 2, PROPS))
     assert {id(x) for x in narrow} <= {id(x) for x in first}
     # Reach sets depend on the state count and action sizes only, so
-    # blocks of different bounds share them.
+    # blocks of different bounds share them: the second bind builds none.
     other = next(x for x in blocks(Bounds(2, 3, 2, ("p",)))
                  if x.sizes == (2, 2) and x.n_states == 3)
     mine = next(x for x in first if x.sizes == (2, 2) and x.n_states == 3)
-    assert all(other.column(c) is mine.column(c) for c in range(4))
+    assert other is not mine
+    _column.cache_clear()
+    for block in (other, mine):
+        block.memo.clear()
+        compile_formula(parse_formula("E[1,2] p"))(block)
+    assert _column.cache_info()[:2] == (1, 1)     # hits, misses
     # At default bounds the cache is a few hundred small tuples.
     keys = {(x.n_states, x.sizes) for x in first}
     assert sum(len(_column(k, sizes, c)) for k, sizes in keys
@@ -98,7 +103,7 @@ def test_reach_work_counts_what_the_reach_sets_take():
     for block in blocks(Bounds(3, 3, 2, PROPS)):
         n, k, profiles = block.n_agents, block.n_states, prod(block.sizes)
         everyone = range(1 << n)
-        rows = {len(block.column(c)) for c in everyone}
+        rows = {len(_column(k, block.sizes, c)) for c in everyone}
         assert rows == {k ** profiles}
         floor = n + k + profiles
         assert _reach_work(k, block.sizes, ()) == floor
@@ -113,21 +118,25 @@ def test_search_builds_and_is_charged_for_the_coalitions_it_names():
     charged for those and the blocks' floors."""
     b, masks = Bounds(2, 3, 2, ("p",)), frozenset({1})
     _block.cache_clear()
+    _column.cache_clear()
     verdict, _, _ = _search(parse_formula("E[1] p | I[1] p"), b)
     assert verdict.models_checked == sum(x.n_models for x in blocks(b))
     plan, stop = _plan(b, 1, masks)
     assert stop is None
+    # One column a block was built; reading mask 1's of each builds none.
+    built = _column.cache_info()
+    assert built.currsize == built.misses == len(plan)
     work = 0
-    for (n, k, sizes, charged), block in zip(plan, blocks(b, 1, masks),
-                                             strict=True):
-        assert (block.n_agents, block.n_states, block.sizes) == (n, k, sizes)
-        assert list(block.columns) == [1]
-        work += n + k + prod(sizes) + prod(sizes) * (n + len(block.columns[1]))
+    for n, k, sizes, charged in plan:
+        column = _column(k, sizes, 1)
+        work += n + k + prod(sizes) + prod(sizes) * (n + len(column))
         assert charged == work
+    assert _column.cache_info().misses == built.misses
 
 
 def test_search_stops_at_the_block_past_the_reach_bound():
     b, everyone = Bounds(4, 2, 2, PROPS), frozenset(range(16))
+    assert _plan(b, 1, None) == _plan(b, 1, everyone)
     reached = []
     with pytest.raises(SearchTooLarge) as exc:
         for block in blocks(b, 1, everyone):
@@ -138,8 +147,11 @@ def test_search_stops_at_the_block_past_the_reach_bound():
     assert sum(_reach_work(k, sizes, everyone) for _, k, sizes in reached
                ) <= MAX_REACH_WORK
     assert reached[-1] == (4, 2, (2, 2, 2, 1))
-    # Charged for its floors alone, the same space fits.
+    # Charged for its floors alone, the same space fits; the translation
+    # grid walks every model, and is charged for every coalition.
     assert len(list(blocks(b))) == len(reached) + 1
+    with pytest.raises(SearchTooLarge):
+        check_truth_preservation(b, 0)
 
 
 def test_tracer_seams_exist():
@@ -188,7 +200,8 @@ def test_reach_sets_match_joint_actions():
                     frozenset(m.states.index(apply(m, s, pc, pd))
                               for pd in others)
                     for pc in profiles(m, c))
-                got = sorted(frozenset(r) for r in block.column(mask)[fr[i]])
+                column = _column(block.n_states, block.sizes, mask)
+                got = sorted(frozenset(r) for r in column[fr[i]])
                 assert got == want
 
 
