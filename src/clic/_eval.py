@@ -1,10 +1,10 @@
 """Frame-major, valuation-parallel evaluation engine behind the searches.
 
-Only this module numbers a size block's models and rebuilds them.  A
-frame (outcome function) is the tuple of its states' outcome rows, and
-model v * n_frames + f of a block of `enumerate_models` pairs valuation
-v with frame number f: `ModelContext.model` rebuilds it from v and the
-frame, and `first_failure` counts the models a scan checked.  All
+`_plan` alone sizes a search, ahead of it.  A block numbers its models as
+the reference `model.enumerate_models` lists them: a frame (outcome
+function) is the tuple of its states' outcome rows, and model
+v * n_frames + f pairs valuation v with frame number f; `ModelContext.model`
+rebuilds it, and `first_failure` counts the models a scan checked.  All
 valuations are evaluated at once in lane vectors: ints whose bit v is
 the truth under valuation v.  E[C] g at s is the OR, over the minimal
 state sets C's joint actions reach from s, of the AND of g over each
@@ -36,13 +36,17 @@ from typing import Iterator
 
 from .errors import ClicError
 from .formula import (
-    MAX_FRAME_BITS, MAX_REACH_WORK, MAX_ROW_BITS, MAX_VALUATIONS, Ability, And,
-    Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
+    Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
 )
 from .model import Bounds, CoalitionModel, _layout, size_blocks
 
 __all__ = ["ModelContext", "SearchTooLarge", "blocks", "compile_formula",
            "first_failure"]
+
+# Most steps the blocks one search reaches may take to build (a few
+# seconds), most valuations of a block, and most bits of its frame count,
+# which keeps the counts a search prints under str()'s 4,300 digits.
+MAX_REACH_WORK, MAX_VALUATIONS, MAX_FRAME_BITS = 1 << 21, 1 << 18, 14_000
 
 
 class SearchTooLarge(ClicError):
@@ -74,15 +78,6 @@ def _column(n_states: int, sizes: tuple[int, ...], mask: int) -> tuple:
                  for row in product(range(n_states), repeat=len(share)))
 
 
-def _reach_work(n_states: int, sizes: tuple[int, ...], masks) -> int:
-    """The steps a block takes: one per agent, state and complete profile,
-    and per coalition of `masks` (None: every one) within its agents and
-    complete profile, one share and one reach-set entry per outcome row."""
-    n, profiles = len(sizes), prod(sizes)
-    named = 1 << n if masks is None else sum(1 for c in masks if not c >> n)
-    return n + n_states + profiles * (1 + named * (n + n_states ** profiles))
-
-
 def _minimal_reach(share: list, row: tuple[int, ...]) -> tuple:
     reach: dict[tuple[int, ...], set[int]] = {}
     for key, target in zip(share, row):
@@ -105,21 +100,20 @@ class ModelContext:
     frames and its valuation lanes; `_column` holds its reach sets."""
 
     def __init__(self, props: tuple[str, ...], vary_all_states: bool,
-                 n_states: int, sizes: tuple[int, ...]):
-        self.props, self.sizes = props, sizes
+                 n_states: int, sizes: tuple[int, ...], rows: int,
+                 n_frames: int):
+        self.props, self.sizes, self.rows = props, sizes, rows
         self.n_agents, self.n_states = len(sizes), n_states
         self.atoms, self.full = _lanes(n_states, len(props))
         self.top, self.bot = (self.full,) * n_states, (0,) * n_states
         self.ones = repeat(self.full)
         # A frame picks a row per state.  Unless all states vary, state i > 0
         # loops to itself: row (i, ..., i), number i*(rows-1)/(n_states-1).
-        rows = n_states ** prod(sizes)
         self.choices = [
             range(rows) if vary_all_states or i == 0
             else (i * (rows - 1) // (n_states - 1),) for i in range(n_states)]
-        self.n_valuations = self.full.bit_length()
-        self.n_frames = prod(map(len, self.choices))
-        self.n_models = self.n_valuations * self.n_frames
+        self.n_valuations, self.n_frames = self.full.bit_length(), n_frames
+        self.n_models = self.n_valuations * n_frames
         # Tables of modalities over constant bodies, keyed by coalition,
         # negation and body: instances of one scheme share most of them.
         self.memo: dict = {}
@@ -151,22 +145,27 @@ _block = lru_cache(maxsize=256)(ModelContext)
 
 
 @lru_cache(maxsize=256)
-def _plan(b: Bounds, min_agents: int, masks: frozenset[int] | None) -> tuple:
-    """b's size blocks with min_agents+ agents in order, each with the steps
-    up to it, and the error at the first block past a bound, or None."""
+def _plan(b: Bounds, min_agents: int, masks: frozenset[int]) -> tuple:
+    """b's size blocks with min_agents+ agents in order, as (agents, states,
+    sizes, steps up to it, rows, frames), and the error at the first block
+    past a bound, or None.  A block takes a step per agent, state and
+    complete profile, and per coalition of `masks` within its agents and
+    per complete profile, a share and a reach-set entry per row."""
     plan, work = [], 0
     for n_agents, n_states, sizes in size_blocks(b, min_agents):
-        work += _reach_work(n_states, sizes, masks)
-        rows = n_states ** prod(sizes)
+        profiles = prod(sizes)
+        rows = n_states ** profiles
+        frames = rows ** n_states if b.vary_all_states else rows
+        work += n_agents + n_states + profiles * (1 + sum(
+            n_agents + rows for c in masks if not c >> n_agents))
         if 1 << n_states * len(b.props) > MAX_VALUATIONS:
             why = f"over {MAX_VALUATIONS} valuations"
         elif work > MAX_REACH_WORK:
             why = f"its blocks take over {MAX_REACH_WORK} steps to build"
-        elif rows > 1 << MAX_ROW_BITS or 1 << MAX_FRAME_BITS < (
-                rows ** n_states if b.vary_all_states else rows):
-            why = f"over 2**{MAX_ROW_BITS} rows or 2**{MAX_FRAME_BITS} frames"
+        elif frames > 1 << MAX_FRAME_BITS:
+            why = f"over 2**{MAX_FRAME_BITS} frames"
         else:
-            plan.append((n_agents, n_states, sizes, work))
+            plan.append((n_agents, n_states, sizes, work, rows, frames))
             continue
         return tuple(plan), (f"search too large: {why}, at the block of "
                              f"agents {n_agents}, states {n_states}")
@@ -174,13 +173,13 @@ def _plan(b: Bounds, min_agents: int, masks: frozenset[int] | None) -> tuple:
 
 
 def blocks(b: Bounds, min_agents: int = 1,
-           masks: frozenset | None = frozenset()) -> Iterator[ModelContext]:
+           masks: frozenset[int] = frozenset()) -> Iterator[ModelContext]:
     """The blocks of b with min_agents+ agents in order, charged for the
-    reach sets of coalitions `masks` (None: every one), each built when
-    reached.  Raises SearchTooLarge on reaching one past a bound."""
+    reach sets of coalitions `masks`, each built when reached.  Raises
+    SearchTooLarge on reaching one past a bound."""
     plan, stop = _plan(b, min_agents, masks)
-    for _, n_states, sizes, _ in plan:
-        yield _block(b.props, b.vary_all_states, n_states, sizes)
+    for _, k, sizes, _, rows, frames in plan:
+        yield _block(b.props, b.vary_all_states, k, sizes, rows, frames)
     if stop:
         raise SearchTooLarge(stop)
 
@@ -279,8 +278,10 @@ def first_failure(compiled, block: ModelContext
                        None) for xs in table]
         k = firsts.index(0) if 0 in firsts else max(
             s for s, j in enumerate(firsts) if j)
-        number = firsts[k] * prod(map(len, choices[k + 1:]))
-        fr = tuple(ch[firsts[k] if s == k else 0]
-                   for s, ch in enumerate(choices))
+        # Choice j of state k, times the frames of the later states (j > 0
+        # at state 0 only unless all vary); j = 0 skips a power.
+        j = firsts[k]
+        number = j and j * (block.n_frames // block.rows ** (k + 1))
+        fr = tuple(ch[j if s == k else 0] for s, ch in enumerate(choices))
     m = block.model(v, fr)
     return v * block.n_frames + number + 1, m, m.states[k]

@@ -193,20 +193,8 @@ MAX_NESTING = 100
 
 # Largest agent index accepted anywhere: a coalition's mask then takes at
 # most 1.25 KB.  A search pays a floor per block that grows with its agents
-# (`_eval._reach_work`), so MAX_REACH_WORK stops a search long before it.
+# (`_eval._plan`), so its step bound stops a search long before it.
 MAX_AGENT = 10_000
-
-# Most outcomes a model file may define, states times complete action
-# profiles: `parse_model` expands every one, so the count is checked first.
-MAX_OUTCOMES = 65_536
-
-# Most steps the blocks one search reaches may take to build, a floor each
-# and the reach sets of the coalitions it names (`_eval._reach_work`); per
-# block, most valuations, and most bits of a state's outcome row count (a
-# range() length) and of the frame count (so counts print in 4,300 digits).
-MAX_REACH_WORK = 1 << 21
-MAX_VALUATIONS = 1 << 18
-MAX_ROW_BITS, MAX_FRAME_BITS = 62, 14_000
 
 
 def agent_index(text: str) -> int | None:

@@ -32,13 +32,17 @@ from .errors import (
     ModelFormatError, PartialOutcome, ProfilesNotPartition, UnknownAction,
     UnknownAgent, UnknownState,
 )
-from .formula import MAX_AGENT, MAX_OUTCOMES, Coalition, agent_index
+from .formula import MAX_AGENT, Coalition, agent_index
 
 __all__ = [
     "ActionProfile", "Bounds", "CoalitionModel",
     "apply", "complement", "enumerate_models", "parse_model", "print_model",
     "profiles",
 ]
+
+# Most outcomes a model file may define, states times complete action
+# profiles: `parse_model` expands every one, so the count is checked first.
+MAX_OUTCOMES = 65_536
 
 
 @dataclass(frozen=True, slots=True)

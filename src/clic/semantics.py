@@ -49,20 +49,25 @@ def _witnesses(m: CoalitionModel, g: Ability | Inability,
                ) -> dict[str, AbilityWitness | InabilityWitness]:
     """For g = E[C] b or I[C] b and body, the extension of b: the states
     among `states` at which g holds, each mapped to its witness."""
-    others = list(profiles(m, complement(m, g.coalition)))
     own = list(profiles(m, g.coalition))
+    rest, drawn = profiles(m, complement(m, g.coalition)), []
+    def others():   # the completions, each drawn once, when first needed
+        yield from drawn
+        for pd in rest:
+            drawn.append(pd)
+            yield pd
     found: dict[str, AbilityWitness | InabilityWitness] = {}
     for s in states:
         if isinstance(g, Ability):  # some action reaches body against all
             for pc in own:
-                if all(apply(m, s, pc, pd) in body for pd in others):
+                if all(apply(m, s, pc, pd) in body for pd in others()):
                     found[s] = AbilityWitness(pc)
                     break
             continue
         counters: dict[ActionProfile, ActionProfile] = {}
         for pc in own:  # every action has a completion that leaves body
             counter = next(
-                (pd for pd in others if apply(m, s, pc, pd) not in body),
+                (pd for pd in others() if apply(m, s, pc, pd) not in body),
                 None)
             if counter is None:
                 break

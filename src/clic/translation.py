@@ -92,7 +92,8 @@ def check_truth_preservation(b: Bounds,
             for f in enumerate_formulas(b.props, b.max_agents,
                                         max_formula_depth)]
     # The grid walks every model, so it is charged for every coalition.
-    total, violations, space = 0, [], list(blocks(b, 1, None))
+    everyone = frozenset(range(1 << b.max_agents))
+    total, violations, space = 0, [], list(blocks(b, 1, everyone))
     for block in space:
         bound = [(f, c(block)) for f, need, c in jobs
                  if need <= block.n_agents]

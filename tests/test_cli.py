@@ -2,15 +2,17 @@
 
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clic import parse_formula, parse_model, satisfies
 from clic import cli
-from clic.formula import (
-    MAX_AGENT, MAX_FRAME_BITS, MAX_NESTING, MAX_OUTCOMES, MAX_REACH_WORK,
-    MAX_ROW_BITS, MAX_VALUATIONS,
-)
+from clic._eval import MAX_FRAME_BITS, MAX_REACH_WORK, MAX_VALUATIONS
+from clic.formula import MAX_AGENT, MAX_NESTING
+from clic.model import MAX_OUTCOMES
 from clic.cli import build_parser, main
 
 M1 = """\
@@ -448,8 +450,7 @@ def test_outcome_count_is_bounded_before_expansion(capsys, tmp_path, agents,
 _REACH = (f"search too large: its blocks take over {MAX_REACH_WORK} steps "
           f"to build, at the block of agents ")
 _LANES = f"search too large: over {MAX_VALUATIONS} valuations, at the block "
-_ROWS = (f"search too large: over 2**{MAX_ROW_BITS} rows or 2**{MAX_FRAME_BITS}"
-         f" frames, at the block of agents ")
+_FRAMES = f"search too large: over 2**{MAX_FRAME_BITS} frames, at the block "
 
 
 @pytest.mark.parametrize("argv,code,tail", [
@@ -473,25 +474,36 @@ _ROWS = (f"search too large: over 2**{MAX_ROW_BITS} rows or 2**{MAX_FRAME_BITS}"
       "--actions", "1"), 2, _REACH + "2046, states 1"),
     (("countermodel", "p | !p", "--agents", "1", "--actions", "1",
       "--states", "24"), 2, _LANES + "of agents 1, states 19"),
-    (("countermodel", "p | !p", "--agents", "6"), 2, _ROWS + "6, states 2"),
-    (("countermodel", "p | !p", "--actions", "9"), 2, _ROWS + "2, states 2"),
+    (("countermodel", "p | !p", "--agents", "6"), 0,
+     ("models_checked: 27469470562413990622815704962380",
+      "states_checked: 82408411687168184892032012052396")),
+    (("countermodel", "p | !p", "--actions", "9"), 0,
+     ("models_checked: 3547772406128789030740749906833338186116",
+      "states_checked: 10643317218386357382888461581778214504708")),
+    (("countermodel", "p | !p", "--agents", "1", "--actions", "100",
+      "--states", "2"), 0,
+     ("models_checked: 10141204801825835211973625643200",
+      "states_checked: 20282409603651670423947251286200")),
     (("countermodel", "true", "--agents", "1", "--actions", "1",
-      "--states", "1500", "--all-states"), 2, _ROWS + "1, states 1347"),
+      "--states", "1500", "--all-states"), 2,
+     _FRAMES + "of agents 1, states 1347"),
 ], ids=["agents-4", "laws-agents-4", "agents-12", "states-5-actions-3",
         "agent-30", "actions-1e12", "actions-1e12-exhausting",
         "agents-4-found-early", "named-agents-4", "agents-3",
         "agents-10000", "states-24", "agents-6", "actions-9",
-        "all-states-1500"])
+        "actions-100", "all-states-1500"])
 def test_reach_sets_are_bounded_as_blocks_are_reached(capsys, argv, code,
                                                       tail):
     """Each of these ran out of memory (exit 1) or ran on for minutes
     before searches were bounded: a search that passes MAX_REACH_WORK
-    steps, or reaches a block of over MAX_VALUATIONS valuations or whose
-    rows or frames pass MAX_ROW_BITS or MAX_FRAME_BITS bits, is a usage
-    error, while one that stops or exhausts before it keeps its verdict.  A search is charged a floor per block and the reach sets
-    of the coalitions its formula names only, so a formula that names
-    none exhausts a space whose every coalition's reach sets would not
-    fit."""
+    steps, or reaches a block of over MAX_VALUATIONS valuations or of
+    over 2**MAX_FRAME_BITS frames, is a usage error, while one that
+    stops or exhausts before it keeps its verdict.  A search is charged
+    a floor per block and the reach sets of the coalitions its formula
+    names only, so a formula that names none exhausts a space whose
+    every coalition's reach sets would not fit, and whose rows per state
+    (agents-6, actions-9, actions-100) are too many for a range() length:
+    its counts are products, never lengths."""
     got, out, err = run(capsys, *argv)
     assert got == code
     if code == 2:
@@ -499,3 +511,77 @@ def test_reach_sets_are_bounded_as_blocks_are_reached(capsys, argv, code,
     else:
         assert err == ""
         assert out.splitlines()[-len(tail):] == list(tail)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing main: whatever the input, an exit code of 0, 1 or 2.
+
+_DIGITS = ["0", "1", "2", "3", "10001", "9" * 30, "\u0661", "\u00b2"]
+_COALITION = st.lists(st.sampled_from(_DIGITS), max_size=3).map(",".join)
+_FORMULA = st.one_of(
+    st.recursive(
+        st.sampled_from(["p", "q", "r", "true", "false"]),
+        lambda f: st.one_of(
+            f.map("!{}".format),
+            st.tuples(f, st.sampled_from(["&", "|", "->", "<->"]), f).map(
+                lambda t: "({} {} {})".format(*t)),
+            st.tuples(st.sampled_from("EI"), _COALITION, f).map(
+                lambda t: "{}[{}] {}".format(*t))),
+        max_leaves=6),
+    st.text("pqtrufalsEI[]!&|-<>(), 0123456789\u0661\u00b2", max_size=24))
+_MODEL = ["agents 2", "state s", "state t", "init s", "actions 1 a b",
+          "actions 2 a", "prop p t", "outcome s a a -> t", "default s -> s",
+          "default t -> t"]
+_LINE = st.one_of(
+    st.sampled_from(_MODEL + ["agents 1", "actions 2 a b", "# note"]),
+    st.lists(st.sampled_from(
+        ["agents", "state", "init", "actions", "prop", "outcome",
+         "default", "->", "s", "t", "a", "b", "p", *_DIGITS]),
+        max_size=6).map(" ".join))
+# A model file: random lines, or a model's lines with a few more, in any
+# order.
+_LINES = st.one_of(
+    st.lists(_LINE, max_size=10),
+    st.lists(_LINE, max_size=2).flatmap(
+        lambda extra: st.permutations(_MODEL + extra)))
+# Bounds of 1 to 3, 0, and huge agent and action counts; every state
+# varies only at 2 or less, where a depth-2 search walks few frames.
+_BOUND = st.one_of(st.integers(1, 3), st.just(0))
+_HUGE = st.one_of(_BOUND, st.just(10 ** 12))
+
+
+@st.composite
+def _argv(draw, folder):
+    command = draw(st.sampled_from(
+        ["parse", "translate", "check", "countermodel"]))
+    argv = [command]
+    if command == "check":
+        path = folder / "m.clm"
+        path.write_text("\n".join(draw(_LINES)), encoding="utf-8")
+        argv.append(str(path))
+    argv.append(draw(_FORMULA))
+    if command == "check" and draw(st.booleans()):
+        argv += ["--state", draw(st.sampled_from(["s", "t", "u"]))]
+    if command == "countermodel":
+        bounds = [draw(_HUGE), draw(_BOUND), draw(_HUGE)]
+        for flag, n in zip(("--agents", "--states", "--actions"), bounds):
+            argv += [flag, str(n)]
+        if max(bounds) <= 2 and draw(st.booleans()):
+            argv.append("--all-states")
+    if draw(st.booleans()):
+        argv.append("--structured")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_main_exits_0_1_or_2_on_any_input(tmp_path_factory, data):
+    """Random formula text, model files and bounds: main returns 0, 1 or
+    2, or argparse exits 2; no other exception escapes."""
+    argv = data.draw(_argv(tmp_path_factory.getbasetemp()))
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

@@ -13,11 +13,10 @@ from clic import (
     parse_formula, profiles, propositions_of,
 )
 from clic._eval import (
-    ModelContext, SearchTooLarge, Table, _block, _column, _plan, _reach_work,
-    blocks, compile_formula, first_failure,
+    MAX_REACH_WORK, ModelContext, SearchTooLarge, Table, _block, _column,
+    _plan, blocks, compile_formula, first_failure,
 )
 from clic.errors import ClicError
-from clic.formula import MAX_REACH_WORK
 from clic.validity import _search
 
 PROPS = ("p", "q")
@@ -96,20 +95,48 @@ def test_row_cache_is_shared_per_bounds():
                for c in range(1 << len(sizes))) == 568
 
 
+def _steps(plan):
+    """Each entry's own steps, from the running sums _plan records."""
+    sums = [entry[3] for entry in plan]
+    return [now - before for before, now in zip([0] + sums, sums)]
+
+
 def test_reach_work_counts_what_the_reach_sets_take():
     """A floor per agent, state and complete profile; per coalition named
     within the agents and per complete profile, a share of the agents and
     a reach-set entry per outcome row."""
-    for block in blocks(Bounds(3, 3, 2, PROPS)):
+    b = Bounds(3, 3, 2, PROPS)
+    everyone = frozenset(range(1 << 3))
+    plans = {masks: _plan(b, 1, masks)[0]
+             for masks in (frozenset(), frozenset({8}), everyone)}
+    steps = {masks: _steps(plan) for masks, plan in plans.items()}
+    for i, block in enumerate(blocks(b)):
         n, k, profiles = block.n_agents, block.n_states, prod(block.sizes)
-        everyone = range(1 << n)
-        rows = {len(_column(k, block.sizes, c)) for c in everyone}
-        assert rows == {k ** profiles}
+        rows = {len(_column(k, block.sizes, c)) for c in range(1 << n)}
+        assert rows == {k ** profiles} == {block.rows}
         floor = n + k + profiles
-        assert _reach_work(k, block.sizes, ()) == floor
-        assert _reach_work(k, block.sizes, {1 << n}) == floor
-        assert _reach_work(k, block.sizes, everyone) == floor + (
+        assert steps[frozenset()][i] == steps[frozenset({8})][i] == floor
+        assert steps[everyone][i] == floor + (
             (1 << n) * profiles * (n + rows.pop()))
+
+
+@pytest.mark.parametrize("b", [
+    Bounds(2, 2, 2, PROPS), Bounds(2, 2, 2, PROPS, True),
+    Bounds(1, 3, 2, ("p",), True), Bounds(3, 2, 1, ("p",)),
+    Bounds(1, 2, 3, (), True)])
+def test_plan_counts_every_block_once(b):
+    """The frames and models the plan counts are the ones the blocks walk
+    and the ones enumerate_models lists."""
+    plan, stop = _plan(b, 1, frozenset())
+    space = list(blocks(b))
+    assert stop is None and len(plan) == len(space)
+    for entry, block in zip(plan, space):
+        n, k, sizes, _, rows, frames = entry
+        assert (n, k, sizes) == (block.n_agents, block.n_states, block.sizes)
+        assert (rows, frames) == (block.rows, block.n_frames)
+        assert block.n_frames == sum(1 for _ in block.frames())
+    assert sum(x.n_models for x in space) == sum(
+        1 for _ in enumerate_models(b))
 
 
 def test_search_builds_and_is_charged_for_the_coalitions_it_names():
@@ -127,7 +154,7 @@ def test_search_builds_and_is_charged_for_the_coalitions_it_names():
     built = _column.cache_info()
     assert built.currsize == built.misses == len(plan)
     work = 0
-    for n, k, sizes, charged in plan:
+    for n, k, sizes, charged, _, _ in plan:
         column = _column(k, sizes, 1)
         work += n + k + prod(sizes) + prod(sizes) * (n + len(column))
         assert charged == work
@@ -136,7 +163,6 @@ def test_search_builds_and_is_charged_for_the_coalitions_it_names():
 
 def test_search_stops_at_the_block_past_the_reach_bound():
     b, everyone = Bounds(4, 2, 2, PROPS), frozenset(range(16))
-    assert _plan(b, 1, None) == _plan(b, 1, everyone)
     reached = []
     with pytest.raises(SearchTooLarge) as exc:
         for block in blocks(b, 1, everyone):
@@ -144,8 +170,9 @@ def test_search_stops_at_the_block_past_the_reach_bound():
     assert isinstance(exc.value, ClicError)
     assert "agents 4, states 2" in str(exc.value)
     # Every block before it is built, and the steps they take fit.
-    assert sum(_reach_work(k, sizes, everyone) for _, k, sizes in reached
-               ) <= MAX_REACH_WORK
+    plan = _plan(b, 1, everyone)[0]
+    assert [entry[:3] for entry in plan] == reached
+    assert plan[-1][3] <= MAX_REACH_WORK
     assert reached[-1] == (4, 2, (2, 2, 2, 1))
     # Charged for its floors alone, the same space fits; the translation
     # grid walks every model, and is charged for every coalition.

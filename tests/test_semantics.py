@@ -1,14 +1,17 @@
 """Satisfaction, extensions, and strategic witnesses."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from clic import (
-    Ability, Bounds, Coalition, CoalitionOutOfRange, Inability, Not,
-    UnknownState, check_ability, check_inability, enumerate_models,
-    extension, parse_formula, parse_model, satisfies,
+    Ability, Atom, Bounds, Coalition, CoalitionOutOfRange, Inability, Not,
+    UnknownState, check_ability, check_inability, complement,
+    enumerate_models, extension, parse_formula, parse_model, satisfies,
     verify_ability_witness, verify_inability_witness,
 )
+from clic import semantics
 
 M1 = parse_model("""\
 agents 2
@@ -146,6 +149,28 @@ def test_inability_witness_for_contradiction_takes_first_counter():
         assert ok
         first = "1:a 2:a" if c is EMPTY else ("2:a" if c is C1 else "(empty)")
         assert all(str(pd) == first for pd in w.counters.values())
+
+
+def test_completions_are_drawn_as_the_clauses_need_them(monkeypatch):
+    """One state, 16 agents of two actions each, p false: agent 1 has
+    32,768 completions per action, and the first one counters either
+    action, so I[1] p and E[1] p draw it alone, once for both actions."""
+    m = parse_model("\n".join(
+        ["agents 16", "state s", "init s",
+         *(f"actions {i} a b" for i in range(1, 17)), "default s -> s"]))
+    c, p = Coalition((1,)), Atom("p")
+    first = next(semantics.profiles(m, complement(m, c)))
+    drawn, profiles = Counter(), semantics.profiles
+
+    def counted(m, c):
+        for profile in profiles(m, c):
+            drawn[c] += 1
+            yield profile
+    monkeypatch.setattr(semantics, "profiles", counted)
+    holds, witness = check_inability(m, "s", c, p)
+    assert holds and list(witness.counters.values()) == [first, first]
+    assert check_ability(m, "s", c, p) == (False, None)
+    assert drawn == {c: 4, complement(m, c): 2}
 
 
 def test_pennies_counter_depends_on_the_chosen_action():
