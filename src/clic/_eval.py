@@ -149,15 +149,17 @@ def _plan(b: Bounds, min_agents: int, masks: frozenset[int]) -> tuple:
     """b's size blocks with min_agents+ agents in order, as (agents, states,
     sizes, steps up to it, rows, frames), and the error at the first block
     past a bound, or None.  A block takes a step per agent, state and
-    complete profile, and per coalition of `masks` within its agents and
-    per complete profile, a share and a reach-set entry per row."""
+    complete profile, and per coalition of `masks` within its agents, a
+    share per complete profile and, per row, a reach-set entry per complete
+    profile and 8 for the row's own sets and table entries."""
     plan, work = [], 0
     for n_agents, n_states, sizes in size_blocks(b, min_agents):
         profiles = prod(sizes)
         rows = n_states ** profiles
         frames = rows ** n_states if b.vary_all_states else rows
-        work += n_agents + n_states + profiles * (1 + sum(
-            n_agents + rows for c in masks if not c >> n_agents))
+        work += n_agents + n_states + profiles + sum(
+            profiles * n_agents + rows * (profiles + 8)
+            for c in masks if not c >> n_agents)
         if 1 << n_states * len(b.props) > MAX_VALUATIONS:
             why = f"over {MAX_VALUATIONS} valuations"
         elif work > MAX_REACH_WORK:

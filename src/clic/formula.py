@@ -208,16 +208,17 @@ def agent_index(text: str) -> int | None:
 
 
 def guard_nesting(fn):
-    """fn, reporting a RecursionError as ClicError when its formula
-    argument is higher than MAX_NESTING; otherwise it propagates."""
+    """fn, reporting a RecursionError as ClicError when a formula argument
+    (or list item) is higher than MAX_NESTING; otherwise it propagates."""
     @wraps(fn)
     def guarded(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except RecursionError:  # only an AST built in code gets this deep
-            f = next(a for a in (*args, *kwargs.values())
-                     if isinstance(a, Formula))
-            if max(d for _, d in walk(f, Formula)) <= MAX_NESTING:
+            fs = [f for a in (*args, *kwargs.values())
+                  for f in (a if isinstance(a, (list, tuple)) else (a,))
+                  if isinstance(f, Formula)]
+            if max(d for f in fs for _, d in walk(f, Formula)) <= MAX_NESTING:
                 raise
             raise ClicError("formula nested too deeply to evaluate") from None
     return guarded

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
-from .errors import BoundsInsufficientForFormula, FixtureMissing
+from .errors import BoundsInsufficientForFormula, ClicError, FixtureMissing
 from .formula import (
     Ability, And, Atom, Bot, Coalition, Formula, Iff, Implies, Inability,
-    Not, Or, Top, parse_formula,
+    MAX_AGENT, Not, Or, Top, parse_formula,
 )
 from .model import Bounds, CoalitionModel, parse_model
 from .semantics import satisfies
@@ -360,6 +360,10 @@ def _formula_pool(atoms: Sequence[str]) -> list[Formula]:
 
 _ARITY = {"none": 0, "one": 1, "two": 2}
 
+# Most instantiations of one law, counted before its side condition: a
+# valid law searches each of them.
+MAX_INSTANTIATIONS = 1 << 16
+
 
 def instantiations(law: Law, n_agents: int,
                    atoms: Sequence[str]) -> Iterator[Formula]:
@@ -369,11 +373,13 @@ def instantiations(law: Law, n_agents: int,
     side condition; formula parameters range over the atoms, their
     negations, truth, falsity, and pairwise conjunctions/disjunctions
     of distinct atoms.  Entailment mode yields premise/conclusion pairs
-    that entail by shape: (f, f | g) and (f & g, f).
+    that entail by shape: (f, f | g) and (f & g, f).  Past MAX_AGENT
+    agents or MAX_INSTANTIATIONS instances it raises ClicError at once.
     """
     if n_agents < 1:
         raise ValueError("need at least one agent")
-    subsets = [Coalition.from_bitmask(mask) for mask in range(1 << n_agents)]
+    if n_agents > MAX_AGENT:    # no Coalition holds the agents past it
+        raise ClicError(f"laws range over at most {MAX_AGENT} agents")
     pool = _formula_pool(atoms)
     if law.formula_mode == "entailment":
         fss = [(f, Or(f, g)) for f in pool for g in pool]
@@ -382,12 +388,25 @@ def instantiations(law: Law, n_agents: int,
         fss = list(product(pool, repeat=_ARITY[law.formula_mode]))
     else:
         raise ValueError(f"unknown formula mode {law.formula_mode!r}")
-    css = product(subsets, repeat=law.coalition_arity)
-    for cs in css:
-        if law.side_condition is not None and not law.side_condition(cs):
-            continue
-        for fs in fss:
-            yield law.scheme(n_agents, cs, fs)
+    if len(fss) << n_agents * law.coalition_arity > MAX_INSTANTIATIONS:
+        raise ClicError(f"law {law.id!r} has over {MAX_INSTANTIATIONS} "
+                        f"instantiations at {n_agents} agents")
+    return (law.scheme(n_agents, cs, fs)
+            for cs in _coalitions(n_agents, law.coalition_arity)
+            if law.side_condition is None or law.side_condition(cs)
+            for fs in fss)
+
+
+def _coalitions(n_agents: int, arity: int) -> Iterator[tuple[Coalition, ...]]:
+    """Every arity-tuple of subsets of the agents, in `product` order, each
+    built as it is reached: `product` would first build all 2**n_agents."""
+    if arity == 0:
+        yield ()
+        return
+    for mask in range(1 << n_agents):
+        c = Coalition.from_bitmask(mask)
+        for rest in _coalitions(n_agents, arity - 1):
+            yield (c, *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +488,8 @@ def _candidates(law: Law, n_agents: int,
     # The fixture's pinned instance goes first: it is the known falsifying
     # (or satisfying) shape, so search does not wade through instances
     # that happen to be valid before reaching one that is not.
-    if law.fixture is not None:
-        yield parse_formula(law.fixture.instance)
-    yield from instantiations(law, n_agents, atoms)
+    first = [parse_formula(law.fixture.instance)] if law.fixture else []
+    return chain(first, instantiations(law, n_agents, atoms))
 
 
 # Per expectation: what a found countermodel shows, what its absence shows.

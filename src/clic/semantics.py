@@ -25,8 +25,8 @@ from .model import ActionProfile, CoalitionModel, apply, complement, profiles
 
 __all__ = [
     "AbilityWitness", "InabilityWitness",
-    "check_ability", "check_inability", "extension", "satisfies",
-    "verify_ability_witness", "verify_inability_witness",
+    "check_ability", "check_inability", "extension", "extensions",
+    "satisfies", "verify_ability_witness", "verify_inability_witness",
 ]
 
 
@@ -78,22 +78,17 @@ def _witnesses(m: CoalitionModel, g: Ability | Inability,
 
 
 @guard_nesting
-def extension(m: CoalitionModel, f: Formula,
-              memo: dict[Formula, frozenset[str]] | None = None
-              ) -> frozenset[str]:
-    """The set of states of m at which f holds.
+def extensions(m: CoalitionModel, formulas: list[Formula]
+               ) -> list[frozenset[str]]:
+    """The set of states of m at which each of formulas holds, in order.
 
-    Subformula extensions are memoized so nested modalities evaluate
-    each distinct subformula once; a memo lookup is O(1) per node, as
-    each node computes its hash once and stores it.  Callers evaluating
-    many formulas against the same model may pass a shared `memo` dict
-    to keep those results across calls; a memo must never be reused for
-    a different model.  An AST too deep for the stack raises ClicError
-    (`guard_nesting`).
+    One memo, for this call only, holds every subformula's extension, so
+    the formulas evaluate each distinct subformula once; a lookup is O(1)
+    per node, as each node stores its hash.  An AST too deep for the
+    stack raises ClicError (`guard_nesting`).
     """
     all_states = frozenset(m.states)
-    if memo is None:
-        memo = {}
+    memo: dict[Formula, frozenset[str]] = {}
 
     def ext(g: Formula) -> frozenset[str]:
         got = memo.get(g)
@@ -123,7 +118,12 @@ def extension(m: CoalitionModel, f: Formula,
         memo[g] = result
         return result
 
-    return ext(f)
+    return [ext(f) for f in formulas]
+
+
+def extension(m: CoalitionModel, f: Formula) -> frozenset[str]:
+    """The set of states of m at which f holds."""
+    return extensions(m, [f])[0]
 
 
 def satisfies(m: CoalitionModel, state: str, f: Formula) -> bool:

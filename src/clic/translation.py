@@ -17,7 +17,7 @@ from .formula import (
     enumerate_formulas, guard_nesting, walk,
 )
 from .model import Bounds, CoalitionModel
-from .semantics import extension
+from .semantics import extensions
 from .validity import _require_searchable
 
 __all__ = [
@@ -97,16 +97,15 @@ def check_truth_preservation(b: Bounds,
     for block in space:
         bound = [(f, c(block)) for f, need, c in jobs
                  if need <= block.n_agents]
+        fs = [f for f, _ in bound]
         total += len(bound) * block.n_models * block.n_states
         for fr in block.frames():
             row = [block.at(x, fr) for _, x in bound]
             for v in range(block.n_valuations):
                 m = block.model(v, fr)
-                # One reference memo per model covers every subformula
-                # the stream has in common, which is most of it.
-                memo: dict[Formula, frozenset[str]] = {}
-                for (f, _), want in zip(bound, row):
-                    ref = extension(m, f, memo)
+                # One reference call per model evaluates once every
+                # subformula the stream has in common, which is most of it.
+                for f, want, ref in zip(fs, row, extensions(m, fs)):
                     for s, x in zip(m.states, want):
                         if (s in ref) is not bool(x >> v & 1):
                             violations.append((f, m, s))

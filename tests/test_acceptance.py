@@ -13,7 +13,7 @@ import pytest
 from clic import (
     Ability, Atom, Bot, Bounds, Coalition, Inability, Not, Top,
     catalog, check_ability, check_inability, check_truth_preservation,
-    default_bounds, enumerate_formulas, enumerate_models, extension,
+    default_bounds, enumerate_formulas, enumerate_models, extensions,
     fixture_model, max_agent, parse_formula, parse_model, print_formula,
     print_model, replay_fixture, run_laws, satisfies,
 )
@@ -103,24 +103,22 @@ def test_criterion_4_duality_invariant():
              Coalition((1, 2))]
     pairs = 0
     for m in enumerate_models(b):
-        memo = {}
         full = frozenset(m.states)
         grand = Coalition(tuple(range(1, m.n_agents + 1)))
         empty = Coalition(())
-        for f in fs:
-            if max_agent(f) > m.n_agents:
-                continue
-            for c in coals:
-                if c.max_agent() > m.n_agents:
-                    continue
-                able = extension(m, Ability(c, f), memo)
-                unable = extension(m, Inability(c, f), memo)
-                assert unable == full - able
+        fits = [f for f in fs if max_agent(f) <= m.n_agents]
+        cs = [c for c in coals if c.max_agent() <= m.n_agents]
+        asked = [g for f in fits for g in (
+            Inability(grand, f), Ability(empty, Not(f)),
+            Inability(empty, f), Ability(grand, Not(f)),
+            *(op(c, f) for c in cs for op in (Ability, Inability)))]
+        ext = dict(zip(asked, extensions(m, asked)))
+        for f in fits:
+            for c in cs:
+                assert ext[Inability(c, f)] == full - ext[Ability(c, f)]
                 pairs += 1
-            assert extension(m, Inability(grand, f), memo) == \
-                extension(m, Ability(empty, Not(f)), memo)
-            assert extension(m, Inability(empty, f), memo) == \
-                extension(m, Ability(grand, Not(f)), memo)
+            assert ext[Inability(grand, f)] == ext[Ability(empty, Not(f))]
+            assert ext[Inability(empty, f)] == ext[Ability(grand, Not(f))]
     assert pairs == 151_464
 
 

@@ -8,10 +8,11 @@ from io import StringIO
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clic import parse_formula, parse_model, satisfies
+from clic import catalog, parse_formula, parse_model, satisfies
 from clic import cli
 from clic._eval import MAX_FRAME_BITS, MAX_REACH_WORK, MAX_VALUATIONS
 from clic.formula import MAX_AGENT, MAX_NESTING
+from clic.laws import MAX_INSTANTIATIONS
 from clic.model import MAX_OUTCOMES
 from clic.cli import build_parser, main
 
@@ -487,11 +488,21 @@ _FRAMES = f"search too large: over 2**{MAX_FRAME_BITS} frames, at the block "
     (("countermodel", "true", "--agents", "1", "--actions", "1",
       "--states", "1500", "--all-states"), 2,
      _FRAMES + "of agents 1, states 1347"),
+    (("countermodel", "!E[] (true & false)", "--agents", "1", "--actions",
+      "1", "--states", "1000000000000"), 2, _REACH + "1, states 647"),
+    (("laws", "--agents", "30"), 2,
+     f"law 'anti-monotonicity' has over {MAX_INSTANTIATIONS} "
+     "instantiations at 30 agents"),
+    (("laws", "--agents", "1000000000000"), 2,
+     f"laws range over at most {MAX_AGENT} agents"),
+    (("laws", "--law", "grand-coalition-duality", "--agents", "20000"), 2,
+     f"laws range over at most {MAX_AGENT} agents"),
 ], ids=["agents-4", "laws-agents-4", "agents-12", "states-5-actions-3",
         "agent-30", "actions-1e12", "actions-1e12-exhausting",
         "agents-4-found-early", "named-agents-4", "agents-3",
         "agents-10000", "states-24", "agents-6", "actions-9",
-        "actions-100", "all-states-1500"])
+        "actions-100", "all-states-1500", "states-1e12-one-profile",
+        "laws-agents-30", "laws-agents-1e12", "laws-duality-agents-20000"])
 def test_reach_sets_are_bounded_as_blocks_are_reached(capsys, argv, code,
                                                       tail):
     """Each of these ran out of memory (exit 1) or ran on for minutes
@@ -503,7 +514,12 @@ def test_reach_sets_are_bounded_as_blocks_are_reached(capsys, argv, code,
     names only, so a formula that names none exhausts a space whose
     every coalition's reach sets would not fit, and whose rows per state
     (agents-6, actions-9, actions-100) are too many for a range() length:
-    its counts are products, never lengths."""
+    its counts are products, never lengths.  Each block is charged its
+    rows as well, so many states of one profile stop soon
+    (states-1e12-one-profile ran 10 s), and `laws` builds its coalitions
+    as it reaches them, with at most MAX_AGENT agents and
+    MAX_INSTANTIATIONS instances a law (the laws-* cases grew without
+    bound or ended in a MemoryError)."""
     got, out, err = run(capsys, *argv)
     assert got == code
     if code == 2:
@@ -545,25 +561,37 @@ _LINES = st.one_of(
     st.lists(_LINE, max_size=2).flatmap(
         lambda extra: st.permutations(_MODEL + extra)))
 # Bounds of 1 to 3, 0, and huge agent and action counts; every state
-# varies only at 2 or less, where a depth-2 search walks few frames.
+# varies only at 2 or less, where a depth-2 search walks few frames.  A
+# huge state count is pinned among the exit-code cases above rather than
+# drawn: it takes about a second to reach its bound.
 _BOUND = st.one_of(st.integers(1, 3), st.just(0))
 _HUGE = st.one_of(_BOUND, st.just(10 ** 12))
+# `laws` at one agent, or at agents its bounds refuse, over 1 or 2 states
+# and actions: each run takes under a second.
+_LAW = st.sampled_from([law.id for law in catalog()] + ["no-such-law"])
+_LAWS_BOUNDS = st.tuples(st.sampled_from([1, 30, 10 ** 12]),
+                         st.integers(1, 2), st.integers(1, 2))
 
 
 @st.composite
 def _argv(draw, folder):
     command = draw(st.sampled_from(
-        ["parse", "translate", "check", "countermodel"]))
+        ["parse", "translate", "check", "countermodel", "laws"]))
     argv = [command]
     if command == "check":
         path = folder / "m.clm"
         path.write_text("\n".join(draw(_LINES)), encoding="utf-8")
         argv.append(str(path))
-    argv.append(draw(_FORMULA))
+    if command == "laws":
+        if draw(st.booleans()):
+            argv += ["--law", draw(_LAW)]
+    else:
+        argv.append(draw(_FORMULA))
     if command == "check" and draw(st.booleans()):
         argv += ["--state", draw(st.sampled_from(["s", "t", "u"]))]
-    if command == "countermodel":
-        bounds = [draw(_HUGE), draw(_BOUND), draw(_HUGE)]
+    if command in ("countermodel", "laws"):
+        bounds = (draw(_LAWS_BOUNDS) if command == "laws"
+                  else [draw(_HUGE), draw(_BOUND), draw(_HUGE)])
         for flag, n in zip(("--agents", "--states", "--actions"), bounds):
             argv += [flag, str(n)]
         if max(bounds) <= 2 and draw(st.booleans()):

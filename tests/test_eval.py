@@ -103,8 +103,8 @@ def _steps(plan):
 
 def test_reach_work_counts_what_the_reach_sets_take():
     """A floor per agent, state and complete profile; per coalition named
-    within the agents and per complete profile, a share of the agents and
-    a reach-set entry per outcome row."""
+    within the agents, a share of the agents per complete profile, and per
+    outcome row a reach-set entry per complete profile and 8 for the row."""
     b = Bounds(3, 3, 2, PROPS)
     everyone = frozenset(range(1 << 3))
     plans = {masks: _plan(b, 1, masks)[0]
@@ -117,7 +117,7 @@ def test_reach_work_counts_what_the_reach_sets_take():
         floor = n + k + profiles
         assert steps[frozenset()][i] == steps[frozenset({8})][i] == floor
         assert steps[everyone][i] == floor + (
-            (1 << n) * profiles * (n + rows.pop()))
+            (1 << n) * (profiles * n + rows.pop() * (profiles + 8)))
 
 
 @pytest.mark.parametrize("b", [
@@ -156,7 +156,8 @@ def test_search_builds_and_is_charged_for_the_coalitions_it_names():
     work = 0
     for n, k, sizes, charged, _, _ in plan:
         column = _column(k, sizes, 1)
-        work += n + k + prod(sizes) + prod(sizes) * (n + len(column))
+        p = prod(sizes)
+        work += n + k + p + p * n + len(column) * (p + 8)
         assert charged == work
     assert _column.cache_info().misses == built.misses
 

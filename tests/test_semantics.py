@@ -1,6 +1,7 @@
 """Satisfaction, extensions, and strategic witnesses."""
 
 from collections import Counter
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,8 @@ from hypothesis import given, strategies as st
 from clic import (
     Ability, Atom, Bounds, Coalition, CoalitionOutOfRange, Inability, Not,
     UnknownState, check_ability, check_inability, complement,
-    enumerate_models, extension, parse_formula, parse_model, satisfies,
+    enumerate_formulas, enumerate_models, extension, extensions,
+    fixture_model, parse_formula, parse_model, satisfies,
     verify_ability_witness, verify_inability_witness,
 )
 from clic import semantics
@@ -108,6 +110,16 @@ def test_extension_examples():
     assert extension(M1, parse_formula("true")) == {"s", "t", "u"}
     assert extension(M1, parse_formula("E[1,2] p")) == {"s", "t"}
     assert extension(M1, parse_formula("I[1] p")) == {"s", "u"}
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name.removesuffix(".clm")
+    for path in resources.files("clic").joinpath("fixtures").iterdir()))
+def test_extensions_agree_with_extension_one_by_one(name):
+    """One call for many formulas answers each as a call of its own."""
+    m = fixture_model(name)
+    fs = list(enumerate_formulas(("p", "q"), m.n_agents, 1))
+    assert extensions(m, fs) == [extension(m, f) for f in fs]
 
 
 def test_state_and_coalition_validation():

@@ -263,23 +263,34 @@ def test_too_deep_formula_elsewhere_is_an_error_not_a_crash(name, levels):
 def test_reference_evaluators_take_deep_asts(levels):
     """Hashing never recurses, so the reference clauses evaluate an AST
     until their own recursion runs out, past 900 levels.  Each answer
-    matches one built level by level through a memo, on a separate copy."""
+    matches one read off a separate copy, asked for level by level in one
+    ordered list, so that each level's body is already known."""
     from clic import (
         Ability, Atom, Coalition, Inability, check_ability, check_inability,
-        extension, fixture_model, semantics,
+        extension, extensions, fixture_model, semantics,
     )
     m, one = fixture_model("m1"), Coalition((1,))
-    s, memo, f, g = m.initial, {}, Atom("p"), Atom("p")
+    s, f, chain = m.initial, Atom("p"), [Atom("p")]
     for _ in range(levels):
-        extension(m, g, memo)
-        f, g = Ability(one, f), Ability(one, g)
-    want = extension(m, g, memo)
+        f = Ability(one, f)
+        chain.append(Ability(one, chain[-1]))
+    chain += [Ability(one, chain[-1]), Inability(one, chain[-1])]
+    *_, want, able, unable = extensions(m, chain)
     assert extension(m, f) == want
     assert semantics.satisfies(m, s, f) is (s in want)
-    assert check_ability(m, s, one, f)[0] is (
-        s in extension(m, Ability(one, g), memo))
-    assert check_inability(m, s, one, f)[0] is (
-        s in extension(m, Inability(one, g), memo))
+    assert check_ability(m, s, one, f)[0] is (s in able)
+    assert check_inability(m, s, one, f)[0] is (s in unable)
+
+
+def test_too_deep_formula_in_a_list_is_an_error_not_a_crash():
+    """The guard measures the formulas a list holds, as it does one
+    passed alone."""
+    from clic import Ability, Atom, Coalition, extensions, fixture_model
+    f = Atom("p")
+    for _ in range(2_000):
+        f = Ability(Coalition((1,)), f)
+    with pytest.raises(ClicError, match="nested too deeply"):
+        extensions(fixture_model("m1"), [Atom("p"), f])
 
 
 def test_hash_of_any_depth():
