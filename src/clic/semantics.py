@@ -82,10 +82,9 @@ def extensions(m: CoalitionModel, formulas: list[Formula]
                ) -> list[frozenset[str]]:
     """The set of states of m at which each of formulas holds, in order.
 
-    One memo, for this call only, holds every subformula's extension, so
-    the formulas evaluate each distinct subformula once; a lookup is O(1)
-    per node, as each node stores its hash.  An AST too deep for the
-    stack raises ClicError (`guard_nesting`).
+    One memo, for this call only, evaluates each distinct subformula once
+    (each node stores its hash, so a lookup is O(1)).  An AST too deep
+    for the stack raises ClicError (`guard_nesting`).
     """
     all_states = frozenset(m.states)
     memo: dict[Formula, frozenset[str]] = {}
@@ -118,7 +117,9 @@ def extensions(m: CoalitionModel, formulas: list[Formula]
         memo[g] = result
         return result
 
-    return [ext(f) for f in formulas]
+    found = [ext(f) for f in formulas]
+    del ext     # it refers to itself: free the memo now, not at a collection
+    return found
 
 
 def extension(m: CoalitionModel, f: Formula) -> frozenset[str]:

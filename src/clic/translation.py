@@ -103,8 +103,7 @@ def check_truth_preservation(b: Bounds,
             row = [block.at(x, fr) for _, x in bound]
             for v in range(block.n_valuations):
                 m = block.model(v, fr)
-                # One reference call per model evaluates once every
-                # subformula the stream has in common, which is most of it.
+                # One reference call per model shares common subformulas.
                 for f, want, ref in zip(fs, row, extensions(m, fs)):
                     for s, x in zip(m.states, want):
                         if (s in ref) is not bool(x >> v & 1):
