@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
@@ -374,7 +374,8 @@ def instantiations(law: Law, n_agents: int,
     negations, truth, falsity, and pairwise conjunctions/disjunctions
     of distinct atoms.  Entailment mode yields premise/conclusion pairs
     that entail by shape: (f, f | g) and (f & g, f).  Past MAX_AGENT
-    agents or MAX_INSTANTIATIONS instances it raises ClicError at once.
+    agents or MAX_INSTANTIATIONS instances it raises ClicError before the
+    first instance.
     """
     if n_agents < 1:
         raise ValueError("need at least one agent")
@@ -391,10 +392,11 @@ def instantiations(law: Law, n_agents: int,
     if len(fss) << n_agents * law.coalition_arity > MAX_INSTANTIATIONS:
         raise ClicError(f"law {law.id!r} has over {MAX_INSTANTIATIONS} "
                         f"instantiations at {n_agents} agents")
-    return (law.scheme(n_agents, cs, fs)
-            for cs in _coalitions(n_agents, law.coalition_arity)
-            if law.side_condition is None or law.side_condition(cs)
-            for fs in fss)
+    for cs in _coalitions(n_agents, law.coalition_arity):
+        if law.side_condition is not None and not law.side_condition(cs):
+            continue
+        for fs in fss:
+            yield law.scheme(n_agents, cs, fs)
 
 
 def _coalitions(n_agents: int, arity: int) -> Iterator[tuple[Coalition, ...]]:
@@ -488,8 +490,9 @@ def _candidates(law: Law, n_agents: int,
     # The fixture's pinned instance goes first: it is the known falsifying
     # (or satisfying) shape, so search does not wade through instances
     # that happen to be valid before reaching one that is not.
-    first = [parse_formula(law.fixture.instance)] if law.fixture else []
-    return chain(first, instantiations(law, n_agents, atoms))
+    if law.fixture is not None:
+        yield parse_formula(law.fixture.instance)
+    yield from instantiations(law, n_agents, atoms)
 
 
 # Per expectation: what a found countermodel shows, what its absence shows.
