@@ -43,8 +43,8 @@ from .model import Bounds, CoalitionModel, _layout, size_blocks
 __all__ = ["ModelContext", "SearchTooLarge", "blocks", "compile_formula",
            "first_failure"]
 
-# Most steps the blocks one search reaches may take to build (a few
-# seconds), most valuations of a block, and most bits of its frame count,
+# Most steps the blocks one search reaches may take to build (about 2 s
+# at most), most valuations of a block, and most bits of its frame count,
 # which keeps the counts a search prints under str()'s 4,300 digits.
 MAX_REACH_WORK, MAX_VALUATIONS, MAX_FRAME_BITS = 1 << 21, 1 << 18, 14_000
 
