@@ -97,7 +97,8 @@ Table = list
 
 class ModelContext:
     """The evaluation context of one size block of a model space: its
-    frames and its valuation lanes; `_column` holds its reach sets."""
+    frames and its valuation lanes; `_column` holds its reach sets, and
+    `_table` its tables of modalities over constant bodies."""
 
     def __init__(self, props: tuple[str, ...], vary_all_states: bool,
                  n_states: int, sizes: tuple[int, ...], rows: int,
@@ -114,9 +115,6 @@ class ModelContext:
             else (i * (rows - 1) // (n_states - 1),) for i in range(n_states)]
         self.n_valuations, self.n_frames = self.full.bit_length(), n_frames
         self.n_models = self.n_valuations * n_frames
-        # Tables of modalities over constant bodies, keyed by coalition,
-        # negation and body: instances of one scheme share most of them.
-        self.memo: dict = {}
 
     def frames(self) -> Iterator[tuple[int, ...]]:
         """Every frame, in enumeration order."""
@@ -186,6 +184,15 @@ def blocks(b: Bounds, min_agents: int = 1,
         raise SearchTooLarge(stop)
 
 
+# The value at s of a modality over a constant depends on s's row only.
+# Instances of one scheme share most of these tables.
+@lru_cache(maxsize=1 << 14)
+def _table(block: ModelContext, c: int, flip: int, x: tuple) -> Table:
+    reach = [flip ^ _reach(x, sets)
+             for sets in _column(block.n_states, block.sizes, c)]
+    return Table(tuple(map(reach.__getitem__, ch)) for ch in block.choices)
+
+
 # ---------------------------------------------------------------------------
 # A formula's value in a block, in one pass.  The operators take `ones`,
 # an endless run of the full lane mask, so they serve states and rows alike.
@@ -216,16 +223,7 @@ def _bind(g: Formula, block: ModelContext):
                 y = at(x, fr)
                 return tuple([flip ^ _reach(y, column[r]) for r in fr])
             return value
-        key = c, flip, x        # the value at s depends on s's row only
-        table = block.memo.get(key)
-        if table is None:
-            if len(block.memo) > 4096:
-                block.memo.clear()
-            reach = [flip ^ _reach(x, sets)
-                     for sets in _column(block.n_states, block.sizes, c)]
-            table = block.memo[key] = Table(
-                tuple(map(reach.__getitem__, ch)) for ch in block.choices)
-        return table
+        return _table(block, c, flip, x)
     if kind is Not:             # !x is x -> false
         op, x, y = _OPS[Implies], _bind(g.body, block), block.bot
     elif kind in _OPS:

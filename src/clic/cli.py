@@ -98,7 +98,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    m = parse_model(Path(args.model).read_text(encoding="utf-8"))
+    m = parse_model(Path(args.model).read_text(encoding="utf-8-sig"))
     f = parse_formula(args.formula)
     state = args.state if args.state is not None else m.initial
 

@@ -52,9 +52,6 @@ class Coalition:
         object.__setattr__(self, "members", tuple(sorted(members)))
         object.__setattr__(self, "mask", sum(1 << (a - 1) for a in members))
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -458,10 +455,9 @@ def enumerate_formulas(props: Sequence[str], agents: int,
     yield from level
 
     upto = list(level)
-    depths = [0] * len(level)
     exact = list(level)
     for depth in range(1, max_depth + 1):
-        stream = _next_level(upto, depths, exact, depth, coalitions)
+        stream = _next_level(upto, exact, coalitions)
         if depth == max_depth:
             yield from stream
             return
@@ -470,19 +466,17 @@ def enumerate_formulas(props: Sequence[str], agents: int,
             yield f
             exact.append(f)
         upto.extend(exact)
-        depths.extend([depth] * len(exact))
 
 
-def _next_level(upto: list[Formula], depths: list[int], exact: list[Formula],
-                depth: int, coalitions: list[Coalition]) -> Iterator[Formula]:
+def _next_level(upto: list[Formula], exact: list[Formula],
+                coalitions: list[Coalition]) -> Iterator[Formula]:
+    """The formulas one deeper than `exact`, the last level of `upto`: a
+    conjunction needs a conjunct from that level."""
     for f in exact:
         yield Not(f)
-    want = depth - 1
+    start = len(upto) - len(exact)
     for i, left in enumerate(upto):
-        left_shallow = depths[i] != want
-        for j, right in enumerate(upto):
-            if left_shallow and depths[j] != want:
-                continue
+        for right in upto if i >= start else exact:
             yield And(left, right)
     for f in exact:
         for c in coalitions:

@@ -75,7 +75,7 @@ def fixture_model(name: str) -> CoalitionModel:
     """Load a pinned countermodel shipped with the package."""
     path = resources.files(__package__) / "fixtures" / f"{name}.clm"
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise FixtureMissing(f"no fixture model named {name!r}") from None
     return parse_model(text)

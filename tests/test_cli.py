@@ -122,6 +122,14 @@ def test_check_non_utf8_file_is_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_check_accepts_a_leading_byte_order_mark(capsys, m1_path, tmp_path):
+    path = tmp_path / "bom.clm"
+    path.write_bytes(b"\xef\xbb\xbf" + M1.encode())
+    plain = run(capsys, "check", m1_path, "E[1,2] p")
+    assert run(capsys, "check", str(path), "E[1,2] p") == plain
+    assert plain[0] == 0
+
+
 def test_translate(capsys):
     code, out, _ = run(capsys, "translate", "I[](I[1]q)")
     assert code == 0

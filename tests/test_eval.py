@@ -1,7 +1,9 @@
 """Frame-major engine against the reference semantics."""
 
+import importlib.util
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,8 +15,8 @@ from clic import (
     parse_formula, profiles, propositions_of,
 )
 from clic._eval import (
-    MAX_REACH_WORK, ModelContext, SearchTooLarge, Table, _block, _column,
-    _plan, blocks, compile_formula, first_failure,
+    MAX_REACH_WORK, SearchTooLarge, Table, _block, _column, _plan, _table,
+    blocks, compile_formula, first_failure,
 )
 from clic.errors import ClicError
 from clic.validity import _search
@@ -85,8 +87,8 @@ def test_row_cache_is_shared_per_bounds():
     mine = next(x for x in first if x.sizes == (2, 2) and x.n_states == 3)
     assert other is not mine
     _column.cache_clear()
+    _table.cache_clear()
     for block in (other, mine):
-        block.memo.clear()
         compile_formula(parse_formula("E[1,2] p"))(block)
     assert _column.cache_info()[:2] == (1, 1)     # hits, misses
     # At default bounds the cache is a few hundred small tuples.
@@ -183,8 +185,23 @@ def test_search_stops_at_the_block_past_the_reach_bound():
 
 
 def test_tracer_seams_exist():
-    """The benchmark's tracer (perfbench/tracing.py) wraps these by name."""
-    assert "__init__" in vars(ModelContext)
+    """The benchmark's tracer (perfbench/tracing.py) wraps these by name.
+    A target it cannot find reads 0 in every metric, and a "method"
+    target whose class is gone crashes `tracing.install()`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, module_name, attr, kind in tracing.TARGETS:
+        if name == "eval.build_space":      # gone with the per-model engine
+            continue
+        owner, _, leaf = attr.rpartition(".")
+        holder = importlib.import_module(module_name)
+        if kind == "method":
+            holder = getattr(holder, owner, None)
+            assert isinstance(holder, type), name
+            assert leaf in vars(holder), name
+        assert callable(getattr(holder, leaf, None)), name
     compiled = compile_formula(Not(Atom("p")))
     block = next(blocks(SPACE))
     assert type(compiled(block)) is tuple
