@@ -98,7 +98,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    m = parse_model(Path(args.model).read_text(encoding="utf-8-sig"))
+    m = parse_model(Path(args.model).read_text(encoding="utf-8"))
     f = parse_formula(args.formula)
     state = args.state if args.state is not None else m.initial
 
@@ -148,7 +148,7 @@ def cmd_countermodel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_fixture_detail(law) -> None:
+def _print_fixture_detail(law, fixture_ok: bool | None) -> None:
     fx = law.fixture
     print()
     if fx is None:
@@ -157,13 +157,11 @@ def _print_fixture_detail(law) -> None:
     print(f"fixture model: {fx.model_name}")
     print(f"fixture state: {fx.state}")
     print(f"fixture instance: {fx.instance}")
-    rows = evaluate_fixture(law)
-    for text, got, want in rows[1:]:
+    for text, got, want in evaluate_fixture(law)[1:]:
         print(f"claim: {text} = {str(got).lower()}")
         if got != want:
             print(f"claim-mismatch: {text} pinned as {str(want).lower()}")
-    ok = all(got == want for _, got, want in rows)
-    print(f"fixture replay: {'ok' if ok else 'MISMATCH'}")
+    print(f"fixture replay: {'ok' if fixture_ok else 'MISMATCH'}")
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
@@ -182,7 +180,7 @@ def cmd_laws(args: argparse.Namespace) -> int:
     else:
         print(report.render())
         if args.law is not None:
-            _print_fixture_detail(chosen[0])
+            _print_fixture_detail(chosen[0], report.results[0].fixture_ok)
     return 0 if report.passed else 1
 
 

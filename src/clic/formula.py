@@ -52,12 +52,6 @@ class Coalition:
         object.__setattr__(self, "members", tuple(sorted(members)))
         object.__setattr__(self, "mask", sum(1 << (a - 1) for a in members))
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, agent: int) -> bool:
-        return agent in self.members
-
     def __repr__(self) -> str:
         return "[%s]" % ",".join(str(a) for a in self.members)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
@@ -485,16 +485,6 @@ class LawReport:
         return "\n".join(lines)
 
 
-def _candidates(law: Law, n_agents: int,
-                atoms: Sequence[str]) -> Iterator[Formula]:
-    # The fixture's pinned instance goes first: it is the known falsifying
-    # (or satisfying) shape, so search does not wade through instances
-    # that happen to be valid before reaching one that is not.
-    if law.fixture is not None:
-        yield parse_formula(law.fixture.instance)
-    yield from instantiations(law, n_agents, atoms)
-
-
 # Per expectation: what a found countermodel shows, what its absence shows.
 _OBSERVED = {"valid": ("invalid", "valid"),
              "invalid": ("invalid", "valid"),
@@ -510,11 +500,13 @@ def _run_law(law: Law, b: Bounds) -> LawResult:
     evidence = instance = None
     # A valid row must search every instance: one the bounds cannot
     # search raises rather than pass unchecked.  The other rows try the
-    # fixture's pinned instance first, and it may mention more agents
-    # than the bounds allow; skip such instances rather than abort.
+    # fixture's pinned instance first, the known falsifying (or
+    # satisfying) shape, so search need not wade through valid ones; an
+    # instance naming agents past the bounds is counted but skipped.
     valid = law.expected == "valid"
-    pick = instantiations if valid else _candidates
-    for f in pick(law, b.max_agents, b.props):
+    pinned = ([] if valid or law.fixture is None
+              else [parse_formula(law.fixture.instance)])
+    for f in chain(pinned, instantiations(law, b.max_agents, b.props)):
         count += 1
         try:    # a model of f is a countermodel of !f
             verdict = find_countermodel(
@@ -527,9 +519,7 @@ def _run_law(law: Law, b: Bounds) -> LawResult:
         if isinstance(verdict, Counterexample):
             observed, evidence, instance = found, verdict, f
             break
-    fixture_ok = None
-    if not valid and law.fixture is not None:
-        fixture_ok = replay_fixture(law)
+    fixture_ok = replay_fixture(law) if pinned else None
     passed = observed == law.expected and fixture_ok is not False
     return LawResult(law.id, law.expected, observed, count, models_total,
                      passed, evidence, instance, fixture_ok,

@@ -150,6 +150,7 @@ def apply(m: CoalitionModel, state: str, p1: ActionProfile,
 
 def parse_model(text: str) -> CoalitionModel:
     """Parse and fully validate a model file."""
+    text = text.removeprefix("\ufeff")
     # Records by directive, each list in line order.
     records: dict[str, list[tuple[int, list[str]]]] = {
         kind: [] for kind in ("agents", "state", "init", "actions", "prop",

@@ -46,8 +46,7 @@ def test_coalition_bitmask_round_trip():
         assert Coalition.from_bitmask(mask).mask == mask
     assert Coalition((1, 3)).mask == 0b101
     assert Coalition((1, 3)).max_agent() == 3
-    assert 3 in Coalition((1, 3)) and 2 not in Coalition((1, 3))
-    assert len(Coalition((1, 3))) == 2
+    assert Coalition((3, 1)).members == (1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from math import prod
 import pytest
 
 from clic import (
-    Bounds, BoundsInsufficientForFormula, Counterexample, FixtureMissing,
-    Law, NoCounterexampleWithinBounds,
+    Bounds, BoundsInsufficientForFormula, Counterexample, Fixture,
+    FixtureMissing, Law, NoCounterexampleWithinBounds,
     catalog, check_equivalence, default_bounds, find_countermodel,
     fixture_model, instantiations, max_agent, parse_formula, print_formula,
     replay_fixture, run_laws, satisfies,
@@ -196,6 +196,52 @@ def test_axiom_rows_are_valid_rows():
                    "inability-definition"):
         assert BY_ID[law_id].expected == "valid"
         assert BY_ID[law_id].group == "axiom"
+
+
+# Per non-valid row at one agent, state and action: observed,
+# instantiations, models checked and fixture replay.  A pinned instance
+# that names agent 2 is counted but skipped, and the row's own
+# instantiations are searched after it.
+ONE_AGENT_ROWS = {
+    "upward-propagation": ("valid", 5, 8, True),
+    "superadditivity-for-inability": ("valid", 49, 96, True),
+    "covariance": ("invalid", 3, 3, True),
+    "conjunction-upward": ("valid", 33, 64, True),
+    "disjunction-downward": ("valid", 33, 64, True),
+    "implication-converse": ("valid", 33, 64, True),
+    "excluded-middle": ("valid", 9, 18, True),
+    "exclusivity": ("invalid", 2, 2, True),
+    "symmetry": ("invalid", 2, 1, True),
+    "complementarity": ("invalid", 2, 2, True),
+    "opponent-ability": ("valid", 9, 16, True),
+    "ability-distribution": ("valid", 32, 64, None),
+    "strategic-impotence": ("unsatisfiable", 9, 18, True),
+}
+
+
+def test_non_valid_rows_try_the_pinned_instance_first():
+    report = run_laws(Bounds(1, 1, 1, ("p",)))
+    got = {r.law_id: (r.observed, r.instantiations, r.models_checked,
+                      r.fixture_ok)
+           for r in report.results if r.expected != "valid"}
+    assert got == ONE_AGENT_ROWS
+
+
+def test_valid_row_ignores_its_fixture():
+    # Searched, the instance `p` would refute the row; replayed, the
+    # claim would mismatch.  A valid row does neither.
+    law = Law("double-negation", "boolean", "double negation elimination",
+              "valid",
+              lambda n, cs, fs: parse_formula("!!p -> p"),
+              0, "none",
+              fixture=Fixture("m1", "s", "p", (("true", False),)))
+    assert replay_fixture(law) is False
+    b = default_bounds(("p",))
+    (r,) = run_laws(b, [law]).results
+    assert r.passed and r.observed == "valid"
+    assert r.fixture_ok is None
+    assert r.instantiations == len(list(instantiations(law, b.max_agents,
+                                                       b.props)))
 
 
 def test_law_descriptions_are_informative():

@@ -56,6 +56,10 @@ def test_comments_and_blank_lines_ignored(m1):
     assert parse_model(noisy) == m1
 
 
+def test_leading_byte_order_mark_is_skipped(m1):
+    assert parse_model("\ufeff" + M1) == m1
+
+
 def test_print_parse_round_trip(m1):
     printed = print_model(m1)
     again = parse_model(printed)
