@@ -200,7 +200,8 @@ def agent_index(text: str) -> int | None:
 
 def guard_nesting(fn):
     """fn, reporting a RecursionError as ClicError when a formula argument
-    (or list item) is higher than MAX_NESTING; otherwise it propagates."""
+    (or list or tuple item) is higher than MAX_NESTING; otherwise, or with
+    no such formula to measure, it propagates."""
     @wraps(fn)
     def guarded(*args, **kwargs):
         try:
@@ -209,7 +210,8 @@ def guard_nesting(fn):
             fs = [f for a in (*args, *kwargs.values())
                   for f in (a if isinstance(a, (list, tuple)) else (a,))
                   if isinstance(f, Formula)]
-            if max(d for f in fs for _, d in walk(f, Formula)) <= MAX_NESTING:
+            if max((d for f in fs for _, d in walk(f, Formula)),
+                   default=0) <= MAX_NESTING:
                 raise
             raise ClicError("formula nested too deeply to evaluate") from None
     return guarded
@@ -443,10 +445,12 @@ def enumerate_formulas(props: Sequence[str], agents: int,
         raise ValueError("agents must be >= 1")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    coalitions = [Coalition.from_bitmask(mask) for mask in range(1 << agents)]
     level: list[Formula] = [Atom(name) for name in sorted(set(props))]
     level += [Top(), Bot()]
     yield from level
+    # Built once the stream reaches depth 1: at 18 agents it takes seconds.
+    coalitions = ([Coalition.from_bitmask(mask) for mask in range(1 << agents)]
+                  if max_depth else [])
 
     upto = list(level)
     exact = list(level)

@@ -392,23 +392,14 @@ def instantiations(law: Law, n_agents: int,
     if len(fss) << n_agents * law.coalition_arity > MAX_INSTANTIATIONS:
         raise ClicError(f"law {law.id!r} has over {MAX_INSTANTIATIONS} "
                         f"instantiations at {n_agents} agents")
-    for cs in _coalitions(n_agents, law.coalition_arity):
+    # Coalitions are built as the loop reaches them, not all 2**n up front.
+    masks = range(1 << n_agents) if law.coalition_arity else ()
+    for ms in product(masks, repeat=law.coalition_arity):
+        cs = tuple(map(Coalition.from_bitmask, ms))
         if law.side_condition is not None and not law.side_condition(cs):
             continue
         for fs in fss:
             yield law.scheme(n_agents, cs, fs)
-
-
-def _coalitions(n_agents: int, arity: int) -> Iterator[tuple[Coalition, ...]]:
-    """Every arity-tuple of subsets of the agents, in `product` order, each
-    built as it is reached: `product` would first build all 2**n_agents."""
-    if arity == 0:
-        yield ()
-        return
-    for mask in range(1 << n_agents):
-        c = Coalition.from_bitmask(mask)
-        for rest in _coalitions(n_agents, arity - 1):
-            yield (c, *rest)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Catalog of structural laws and its runner."""
 
+from hashlib import sha256
 from itertools import product
 from math import prod
 
 import pytest
 
 from clic import (
-    Bounds, BoundsInsufficientForFormula, Counterexample, Fixture,
-    FixtureMissing, Law, NoCounterexampleWithinBounds,
-    catalog, check_equivalence, default_bounds, find_countermodel,
-    fixture_model, instantiations, max_agent, parse_formula, print_formula,
-    replay_fixture, run_laws, satisfies,
+    Atom, Bot, Bounds, BoundsInsufficientForFormula, ClicError, Coalition,
+    Counterexample, Fixture, FixtureMissing, Law,
+    NoCounterexampleWithinBounds, Top, catalog, check_equivalence,
+    default_bounds, enumerate_formulas, find_countermodel, fixture_model,
+    instantiations, max_agent, parse_formula, print_formula, replay_fixture,
+    run_laws, satisfies,
 )
+from clic.formula import MAX_AGENT
 
 BY_ID = {law.id: law for law in catalog()}
 
@@ -68,6 +71,133 @@ def test_entailment_mode_pairs_by_shape():
 def test_instantiations_reject_zero_agents():
     with pytest.raises(ValueError):
         list(instantiations(BY_ID["truth"], 0, ("p",)))
+
+
+# SHA-256 prefix of each law's printed instance stream at 1-4 agents over
+# ("p",) and ("p", "q"), each stream after a "# <agents> <atoms>" line.
+STREAMS = {
+    "anti-monotonicity": "fe19160fc958a19e",
+    "upward-propagation": "626fb42d76830bdd",
+    "subadditivity": "ee9da7af81189b2b",
+    "superadditivity-for-inability": "fa2b671efb639cf3",
+    "contravariance": "0d28725fed1fefd2",
+    "covariance": "d1cc36f8911b3ccb",
+    "absorption": "b1886739a984a78d",
+    "conjunction-downward": "434effa768aad822",
+    "conjunction-upward": "0c3d487a42f79ee8",
+    "disjunction-upward": "dbc4c990b87ec173",
+    "disjunction-downward": "0fe8a01cc448f8ee",
+    "implication-distribution": "8efdf3f37cbc0ea9",
+    "implication-converse": "3b2b78f2789483ee",
+    "excluded-middle": "21ebdb9d26b4590b",
+    "exclusivity": "175550cf932628b5",
+    "symmetry": "107c7ad4ddf34a81",
+    "complementarity": "2c6f79235c4b191d",
+    "opponent-ability": "7925cb06856f390d",
+    "grand-coalition-duality": "2e2c065e74336d8f",
+    "empty-coalition-duality": "bb681dc1b6ec5143",
+    "contradiction": "5f24d1b7989f6f52",
+    "truth": "6eab8fc0171ba5db",
+    "axiom-truth": "98d8fc47e38de4fc",
+    "axiom-no-contradiction": "5b48a4288faacb72",
+    "axiom-superadditivity": "e62b671d12cb49c6",
+    "axiom-grand-coalition": "f6d9cfb48016e5f3",
+    "inability-definition": "b06157015e7aa1ff",
+    "ability-distribution": "26622404b60975c5",
+    "strategic-impotence": "0f6d9684b563fbec",
+}
+
+# The fewest agents at which each law refuses for too many instantiations,
+# over ("p",) and ("p", "q"); None for a law that names no coalition.
+REFUSED_AT = {
+    "anti-monotonicity": (8, 7),
+    "upward-propagation": (8, 7),
+    "subadditivity": (8, 7),
+    "superadditivity-for-inability": (7, 6),
+    "contravariance": (12, 10),
+    "covariance": (12, 10),
+    "absorption": (13, 11),
+    "conjunction-downward": (13, 11),
+    "conjunction-upward": (13, 11),
+    "disjunction-upward": (13, 11),
+    "disjunction-downward": (13, 11),
+    "implication-distribution": (13, 11),
+    "implication-converse": (13, 11),
+    "excluded-middle": (15, 14),
+    "exclusivity": (15, 14),
+    "symmetry": (15, 14),
+    "complementarity": (15, 14),
+    "opponent-ability": (15, 14),
+    "grand-coalition-duality": None,
+    "empty-coalition-duality": None,
+    "contradiction": (17, 17),
+    "truth": (17, 17),
+    "axiom-truth": (17, 17),
+    "axiom-no-contradiction": (17, 17),
+    "axiom-superadditivity": (7, 6),
+    "axiom-grand-coalition": None,
+    "inability-definition": (15, 14),
+    "ability-distribution": (13, 11),
+    "strategic-impotence": (15, 14),
+}
+
+
+def test_instance_streams_frozen():
+    """Every law's instances keep their text and their order."""
+    for law in catalog():
+        text = "".join(
+            f"# {n} {' '.join(atoms)}\n"
+            + "".join(f"{print_formula(f)}\n"
+                      for f in instantiations(law, n, atoms))
+            for atoms in (("p",), ("p", "q")) for n in range(1, 5))
+        assert sha256(text.encode()).hexdigest()[:16] == STREAMS[law.id], \
+            law.id
+
+
+def test_instantiation_refusals_frozen():
+    """Each refusal comes before the first instance, with its message."""
+    for law in catalog():
+        for atoms, n in zip((("p",), ("p", "q")),
+                            REFUSED_AT[law.id] or (None, None)):
+            with pytest.raises(ValueError, match="^need at least one agent$"):
+                next(instantiations(law, 0, atoms))
+            with pytest.raises(ClicError, match="^laws range over at most "
+                                                "10000 agents$"):
+                next(instantiations(law, MAX_AGENT + 1, atoms))
+            if n is None:
+                next(instantiations(law, 16, atoms))
+                continue
+            next(instantiations(law, n - 1, atoms))
+            with pytest.raises(ClicError) as info:
+                next(instantiations(law, n, atoms))
+            assert str(info.value) == (f"law {law.id!r} has over 65536 "
+                                       f"instantiations at {n} agents")
+
+
+def _count_coalitions(monkeypatch, limit):
+    """Make Coalition.from_bitmask count its calls and fail past limit."""
+    built = []
+    original = Coalition.from_bitmask
+
+    def counting(mask):
+        built.append(mask)
+        assert len(built) <= limit, f"built {len(built)} coalitions"
+        return original(mask)
+    monkeypatch.setattr(Coalition, "from_bitmask", staticmethod(counting))
+    return built
+
+
+def test_instances_build_coalitions_as_they_are_reached(monkeypatch):
+    built = _count_coalitions(monkeypatch, 1)
+    assert print_formula(next(instantiations(BY_ID["truth"], 16, ("p",)))) \
+        == "!I[] true"
+    assert built == [0]
+
+
+def test_depth_zero_formulas_build_no_coalition(monkeypatch):
+    _count_coalitions(monkeypatch, 0)
+    assert list(enumerate_formulas(("p",), 30, 0)) == [
+        Atom("p"), Top(), Bot()]
 
 
 def test_every_fixture_replays():

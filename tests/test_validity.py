@@ -293,6 +293,17 @@ def test_too_deep_formula_in_a_list_is_an_error_not_a_crash():
         extensions(fixture_model("m1"), [Atom("p"), f])
 
 
+def test_too_deep_formula_the_guard_cannot_measure_stays_a_recursion_error():
+    """A formula drawn from a generator is gone once the call has consumed
+    it; with nothing to measure, the guard re-raises the RecursionError."""
+    from clic import Ability, Atom, Coalition, extensions, fixture_model
+    f = Atom("p")
+    for _ in range(3_000):
+        f = Ability(Coalition((1,)), f)
+    with pytest.raises(RecursionError):
+        extensions(fixture_model("m1"), (g for g in [f]))
+
+
 def test_hash_of_any_depth():
     """A formula's first hash walks an explicit stack, not Python's."""
     from clic import Ability, Atom, Coalition
