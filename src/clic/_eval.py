@@ -28,6 +28,7 @@ reference clauses in `semantics`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache, partial, reduce
 from itertools import chain, product, repeat
 from math import prod
@@ -147,14 +148,14 @@ def _plan(b: Bounds, min_agents: int, masks: frozenset[int]) -> tuple:
     complete profile, and per coalition of `masks` within its agents, a
     share per complete profile and, per row, a reach-set entry per complete
     profile and 8 for the row's own sets and table entries."""
-    plan, work = [], 0
+    plan, work, ordered = [], 0, sorted(masks)
     for n_agents, n_states, sizes in size_blocks(b, min_agents):
         profiles = prod(sizes)
         rows = n_states ** profiles
         frames = rows ** n_states if b.vary_all_states else rows
-        work += n_agents + n_states + profiles + sum(
-            profiles * n_agents + rows * (profiles + 8)
-            for c in masks if not c >> n_agents)
+        within = bisect_left(ordered, 1 << n_agents)   # masks of its agents
+        work += n_agents + n_states + profiles + within * (
+            profiles * n_agents + rows * (profiles + 8))
         if 1 << n_states * len(b.props) > MAX_VALUATIONS:
             why = f"over {MAX_VALUATIONS} valuations"
         elif work > MAX_REACH_WORK:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clic import (
-    Ability, Atom, Bounds, Coalition, CoalitionOutOfRange, Inability, Not,
-    UnknownState, check_ability, check_inability, complement,
+    Ability, AbilityWitness, ActionProfile, Atom, Bounds, Coalition,
+    CoalitionOutOfRange, Inability, InabilityWitness, Not, UnknownState,
+    check_ability, check_inability, complement,
     enumerate_formulas, enumerate_models, extension, extensions,
     fixture_model, parse_formula, parse_model, satisfies,
     verify_ability_witness, verify_inability_witness,
@@ -166,7 +167,9 @@ def test_inability_witness_for_contradiction_takes_first_counter():
 def test_completions_are_drawn_as_the_clauses_need_them(monkeypatch):
     """One state, 16 agents of two actions each, p false: agent 1 has
     32,768 completions per action, and the first one counters either
-    action, so I[1] p and E[1] p draw it alone, once for both actions."""
+    action, so I[1] p and E[1] p draw it alone, once for both actions.
+    One `extensions` call draws each coalition's profiles once for all
+    its modal nodes, and I[1] !p draws every completion."""
     m = parse_model("\n".join(
         ["agents 16", "state s", "init s",
          *(f"actions {i} a b" for i in range(1, 17)), "default s -> s"]))
@@ -183,6 +186,23 @@ def test_completions_are_drawn_as_the_clauses_need_them(monkeypatch):
     assert holds and list(witness.counters.values()) == [first, first]
     assert check_ability(m, "s", c, p) == (False, None)
     assert drawn == {c: 4, complement(m, c): 2}
+    drawn.clear()
+    got = extensions(m, [Inability(c, p), Ability(c, p), Inability(c, Not(p))])
+    assert got == [frozenset({"s"}), frozenset(), frozenset()]
+    assert drawn == {c: 2, complement(m, c): 2 ** 15}
+
+
+def test_interleaved_readers_each_see_every_completion():
+    """Two live readers of one game's completions, advanced in turn: the
+    second draws a completion while the first is suspended, and the first
+    still reads it next."""
+    game = semantics._Game(M1, C1)
+    a, b = game.replies(0), game.replies(1)
+    got = [next(a), next(b), next(b), next(a)]
+    assert [(str(pd), full) for pd, full in got] == [
+        ("2:a", ("a", "a")), ("2:a", ("b", "a")),
+        ("2:b", ("b", "b")), ("2:b", ("a", "b"))]
+    assert next(a, None) is None and next(b, None) is None
 
 
 def test_pennies_counter_depends_on_the_chosen_action():
@@ -200,6 +220,26 @@ def test_witness_replay_helpers():
     ok, w = check_inability(M1, "s", C1, f)
     assert verify_inability_witness(M1, "s", C1, f, w)
     assert not verify_inability_witness(M1, "s", BOTH, f, w)
+
+
+def test_replay_of_an_undeclared_action_is_false():
+    """A witness or counter naming an action m does not declare fails to
+    replay, as one over the wrong coalition does; an undeclared state is
+    an error, as in `check_ability`."""
+    f = parse_formula("p")
+    bad = AbilityWitness(ActionProfile(C1, ((1, "zz"),)))
+    assert not verify_ability_witness(M1, "s", C1, f, bad)
+    ok, w = check_inability(M1, "s", C1, f)
+    assert ok and verify_inability_witness(M1, "s", C1, f, w)
+    zz = ActionProfile(C2, ((2, "zz"),))
+    for pc in w.counters:
+        counters = {**w.counters, pc: zz}
+        assert not verify_inability_witness(M1, "s", C1, f,
+                                            InabilityWitness(counters))
+    with pytest.raises(UnknownState):
+        verify_ability_witness(M1, "nope", C1, f, bad)
+    with pytest.raises(UnknownState):
+        verify_inability_witness(M1, "nope", C1, f, w)
 
 
 # ---------------------------------------------------------------------------
