@@ -33,7 +33,7 @@ from functools import lru_cache, partial, reduce
 from itertools import chain, product, repeat
 from math import prod
 from operator import and_, getitem, mod, or_, xor
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ClicError
 from .formula import (
@@ -141,19 +141,20 @@ _block = lru_cache(maxsize=256)(ModelContext)
 
 
 @lru_cache(maxsize=256)
-def _plan(b: Bounds, min_agents: int, masks: frozenset[int]) -> tuple:
+def _plan(b: Bounds, min_agents: int, masks: Sequence[int]) -> tuple:
     """b's size blocks with min_agents+ agents in order, as (agents, states,
     sizes, steps up to it, rows, frames), and the error at the first block
     past a bound, or None.  A block takes a step per agent, state and
-    complete profile, and per coalition of `masks` within its agents, a
-    share per complete profile and, per row, a reach-set entry per complete
-    profile and 8 for the row's own sets and table entries."""
-    plan, work, ordered = [], 0, sorted(masks)
+    complete profile, and per coalition of `masks` (sorted, distinct) within
+    its agents, a share per complete profile and, per row, a reach-set entry
+    per complete profile and 8 for the row's own sets and table entries."""
+    plan, work = [], 0
     for n_agents, n_states, sizes in size_blocks(b, min_agents):
         profiles = prod(sizes)
         rows = n_states ** profiles
         frames = rows ** n_states if b.vary_all_states else rows
-        within = bisect_left(ordered, 1 << n_agents)   # masks of its agents
+        # Its masks are among masks[:2**n]; len() of 2**63+ masks overflows
+        within = bisect_left(masks[:1 << n_agents], 1 << n_agents)
         work += n_agents + n_states + profiles + within * (
             profiles * n_agents + rows * (profiles + 8))
         if 1 << n_states * len(b.props) > MAX_VALUATIONS:
@@ -171,7 +172,7 @@ def _plan(b: Bounds, min_agents: int, masks: frozenset[int]) -> tuple:
 
 
 def blocks(b: Bounds, min_agents: int = 1,
-           masks: frozenset[int] = frozenset()) -> Iterator[ModelContext]:
+           masks: Sequence[int] = ()) -> Iterator[ModelContext]:
     """The blocks of b with min_agents+ agents in order, charged for the
     reach sets of coalitions `masks`, each built when reached.  Raises
     SearchTooLarge on reaching one past a bound."""

@@ -402,11 +402,11 @@ def walk(f: Formula, counted=(Ability, Inability)
             stack += [(g.right, depth), (g.left, depth)]
 
 
-def measures(f: Formula) -> tuple[int, set[str], int, frozenset[int]]:
-    """(max_agent, atoms, modal_depth, coalition masks) of f, in one walk."""
+def measures(f: Formula) -> tuple[int, set[str], int, tuple[int, ...]]:
+    """(max_agent, atoms, modal_depth, sorted coalition masks) of f."""
     nodes = list(walk(f))
     modal = [(g, d) for g, d in nodes if isinstance(g, (Ability, Inability))]
-    masks = frozenset(g.coalition.mask for g, _ in modal)
+    masks = tuple(sorted({g.coalition.mask for g, _ in modal}))
     return (max(masks, default=0).bit_length(),
             {g.name for g, _ in nodes if type(g) is Atom},
             max((d + 1 for _, d in modal), default=0), masks)

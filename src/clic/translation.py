@@ -9,9 +9,10 @@ enumerated grid of formulas, models, and states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from ._eval import blocks, compile_formula
-from .errors import BoundsTooSmall
+from .errors import BoundsTooSmall, ClicError
 from .formula import (
     Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
     enumerate_formulas, guard_nesting, walk,
@@ -24,6 +25,10 @@ __all__ = [
     "PreservationReport", "check_truth_preservation", "is_cl_fragment",
     "translate",
 ]
+
+# Most formulas one grid compares, counted before it translates any: it
+# evaluates each of them on every model.
+MAX_FORMULAS = 1 << 16
 
 
 @guard_nesting
@@ -82,18 +87,25 @@ def check_truth_preservation(b: Bounds,
     frame (a per-row table by each state's row choice), the engine
     rebuilds the model of valuation v on the frame, and bit v is
     compared with it.  Violations are listed in that order: by size
-    block, frame, valuation, formula and state.  Bounds that cannot search
-    every formula raise BoundsInsufficientForFormula, as in
-    `find_countermodel`.
+    block, frame, valuation, formula and state.  The grid walks every
+    model, so `_eval._plan` charges it for every coalition, and sizes it
+    before it builds a formula: past the plan's bounds it raises
+    SearchTooLarge, and past MAX_FORMULAS formulas ClicError, before it
+    translates one.  Bounds that cannot search every formula raise
+    BoundsInsufficientForFormula, as in `find_countermodel`.
     """
     if max_formula_depth < 0:
         raise BoundsTooSmall("no formulas below depth 0")
+    space = list(blocks(b, 1, range(1 << b.max_agents)))    # sized first
+    formulas = list(islice(enumerate_formulas(b.props, b.max_agents,
+                                              max_formula_depth),
+                           MAX_FORMULAS + 1))
+    if len(formulas) > MAX_FORMULAS:
+        raise ClicError(f"grid too large: over {MAX_FORMULAS} formulas up "
+                        f"to depth {max_formula_depth}")
     jobs = [(f, _require_searchable(f, b)[0], compile_formula(translate(f)))
-            for f in enumerate_formulas(b.props, b.max_agents,
-                                        max_formula_depth)]
-    # The grid walks every model, so it is charged for every coalition.
-    everyone = frozenset(range(1 << b.max_agents))
-    total, violations, space = 0, [], list(blocks(b, 1, everyone))
+            for f in formulas]
+    total, violations = 0, []
     for block in space:
         bound = [(f, c(block)) for f, need, c in jobs
                  if need <= block.n_agents]

@@ -70,7 +70,7 @@ class NoCounterexampleWithinBounds:
 Verdict = Counterexample | NoCounterexampleWithinBounds
 
 
-def _require_searchable(f: Formula, b: Bounds) -> tuple[int, frozenset[int]]:
+def _require_searchable(f: Formula, b: Bounds) -> tuple[int, tuple[int, ...]]:
     """Raise unless b can search f; return max_agent(f) and its coalition
     masks.  The only rule on what a bounds can search: every search asks
     it before it scans, and `_eval.blocks` bounds the blocks it reaches."""

@@ -71,7 +71,6 @@ def test_criterion_2_fixture_regression():
     assert not satisfies(pennies, "s", parse_formula("E[2] !p"))
 
 
-@pytest.mark.slow
 def test_criterion_3_translation_oracle():
     """Eliminating inability never changes a truth value on the grid."""
     start = time.perf_counter()

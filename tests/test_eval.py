@@ -1,6 +1,7 @@
 """Frame-major engine against the reference semantics."""
 
 import importlib.util
+import tracemalloc
 from itertools import product
 from math import prod
 from pathlib import Path
@@ -19,6 +20,7 @@ from clic._eval import (
     blocks, compile_formula, first_failure,
 )
 from clic.errors import ClicError
+from clic.translation import MAX_FORMULAS
 from clic.validity import _search
 
 PROPS = ("p", "q")
@@ -108,16 +110,16 @@ def test_reach_work_counts_what_the_reach_sets_take():
     within the agents, a share of the agents per complete profile, and per
     outcome row a reach-set entry per complete profile and 8 for the row."""
     b = Bounds(3, 3, 2, PROPS)
-    everyone = frozenset(range(1 << 3))
+    everyone = range(1 << 3)
     plans = {masks: _plan(b, 1, masks)[0]
-             for masks in (frozenset(), frozenset({8}), everyone)}
+             for masks in ((), (8,), everyone)}
     steps = {masks: _steps(plan) for masks, plan in plans.items()}
     for i, block in enumerate(blocks(b)):
         n, k, profiles = block.n_agents, block.n_states, prod(block.sizes)
         rows = {len(_column(k, block.sizes, c)) for c in range(1 << n)}
         assert rows == {k ** profiles} == {block.rows}
         floor = n + k + profiles
-        assert steps[frozenset()][i] == steps[frozenset({8})][i] == floor
+        assert steps[()][i] == steps[(8,)][i] == floor
         assert steps[everyone][i] == floor + (
             (1 << n) * (profiles * n + rows.pop() * (profiles + 8)))
 
@@ -129,7 +131,7 @@ def test_reach_work_counts_what_the_reach_sets_take():
 def test_plan_counts_every_block_once(b):
     """The frames and models the plan counts are the ones the blocks walk
     and the ones enumerate_models lists."""
-    plan, stop = _plan(b, 1, frozenset())
+    plan, stop = _plan(b, 1, ())
     space = list(blocks(b))
     assert stop is None and len(plan) == len(space)
     for entry, block in zip(plan, space):
@@ -145,7 +147,7 @@ def test_search_builds_and_is_charged_for_the_coalitions_it_names():
     """E[1] p | I[1] p names coalition [1] alone: each block it exhausts
     builds that coalition's reach sets and no other, and the search is
     charged for those and the blocks' floors."""
-    b, masks = Bounds(2, 3, 2, ("p",)), frozenset({1})
+    b, masks = Bounds(2, 3, 2, ("p",)), (1,)
     _block.cache_clear()
     _column.cache_clear()
     verdict, _, _ = _search(parse_formula("E[1] p | I[1] p"), b)
@@ -165,7 +167,7 @@ def test_search_builds_and_is_charged_for_the_coalitions_it_names():
 
 
 def test_search_stops_at_the_block_past_the_reach_bound():
-    b, everyone = Bounds(4, 2, 2, PROPS), frozenset(range(16))
+    b, everyone = Bounds(4, 2, 2, PROPS), range(16)
     reached = []
     with pytest.raises(SearchTooLarge) as exc:
         for block in blocks(b, 1, everyone):
@@ -182,6 +184,46 @@ def test_search_stops_at_the_block_past_the_reach_bound():
     assert len(list(blocks(b))) == len(reached) + 1
     with pytest.raises(SearchTooLarge):
         check_truth_preservation(b, 0)
+
+
+@pytest.mark.parametrize("n", [17, 30, 64, 10_000])
+@pytest.mark.parametrize("depth", [0, 1])
+def test_grid_is_sized_before_it_builds_anything(n, depth):
+    """Every coalition of n agents is charged from a range, and the plan
+    refuses before a formula or a coalition is built."""
+    _plan.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchTooLarge) as exc:
+            check_truth_preservation(Bounds(n, 1, 1, ("p",)), depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (
+        f"search too large: its blocks take over {MAX_REACH_WORK} steps "
+        "to build, at the block of agents 16, states 1")
+    assert peak < 1 << 20
+
+
+def test_grid_counts_its_formulas_before_it_translates_one(monkeypatch):
+    """At depth 3 one agent gives 756,027 formulas: the grid stops at the
+    first past MAX_FORMULAS, before it translates any or asks whether the
+    bounds can search it."""
+    def refuse(f):
+        raise AssertionError(f"translated {f!r}")
+    monkeypatch.setattr("clic.translation.translate", refuse)
+    with pytest.raises(ClicError, match=f"over {MAX_FORMULAS} formulas"):
+        check_truth_preservation(Bounds(1, 1, 1, ("p",)), 3)
+
+
+@pytest.mark.parametrize("b", [
+    Bounds(3, 2, 2, ("p",)), Bounds(2, 3, 2, PROPS, True),
+    Bounds(1, 18, 1, ("p",))])
+def test_one_plan_for_every_form_of_the_same_masks(b):
+    for n in range(min(b.max_agents, 3) + 1):
+        for k in (1, 2):
+            masks = range(1 << n)
+            assert _plan(b, k, masks) == _plan(b, k, tuple(masks))
 
 
 def test_tracer_seams_exist():
