@@ -4,16 +4,19 @@ Five subcommands cover the library surface: `parse` echoes a formula as
 an AST dump and in canonical form, `check` evaluates a formula in a
 model file and prints witnesses, `translate` rewrites inability away,
 `countermodel` searches the bounded model space, and `laws` runs the
-structural-law catalog.
+structural-law catalog.  A handler imports `laws` or `translation`
+itself, so a `countermodel` or `check` process never loads them.
 
 Exit codes follow one convention throughout: 0 for an affirmative
 answer or an exhausted search, 1 for a negative answer or a found
-counterexample, 2 for usage, syntax, or bounds errors.
+counterexample, 2 for usage, syntax, or bounds errors, and for a closed
+stdout, which prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -23,11 +26,9 @@ from .formula import (
     Ability, Inability, ast_dump, parse_formula, print_formula,
     propositions_of,
 )
-from .laws import COLUMNS, catalog, evaluate_fixture, run_laws
 from .model import Bounds, parse_model, print_model
 from .semantics import (AbilityWitness, check_ability, check_inability,
                         satisfies)
-from .translation import translate
 from .validity import Counterexample, default_bounds, find_countermodel
 
 
@@ -115,6 +116,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
+    from .translation import translate
+
     text = print_formula(translate(parse_formula(args.formula)))
     if args.structured:
         print(f"formula: {text}")
@@ -149,6 +152,8 @@ def cmd_countermodel(args: argparse.Namespace) -> int:
 
 
 def _print_fixture_detail(law, fixture_ok: bool | None) -> None:
+    from .laws import evaluate_fixture
+
     fx = law.fixture
     print()
     if fx is None:
@@ -165,6 +170,8 @@ def _print_fixture_detail(law, fixture_ok: bool | None) -> None:
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
+    from .laws import COLUMNS, catalog, run_laws
+
     chosen = catalog()
     if args.law is not None:
         chosen = tuple(law for law in chosen if law.id == args.law)
@@ -187,7 +194,14 @@ def cmd_laws(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()      # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nobody reads the answer: say nothing, and give the flush at exit
+        # somewhere to go.
+        sys.stdout = open(os.devnull, "w")
+        return 2
     except (ClicError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

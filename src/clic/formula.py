@@ -103,7 +103,12 @@ class Formula:
 
 def _node(cls: type) -> type:
     """A frozen formula dataclass that keeps the generated __eq__ but
-    hashes with Formula.__hash__, not the generated recursive one."""
+    hashes with Formula.__hash__, not the generated recursive one.
+
+    Nodes with the same fields share one such class, as `__slots__ = ()`
+    subclasses, for less work at import: the generated __eq__ compares
+    `__class__`, so And(p, q) != Or(p, q), and each node keeps its own
+    type, fields and __match_args__."""
     cls = dataclass(frozen=True, slots=True, repr=False)(cls)
     cls.__hash__ = Formula.__hash__
     return cls
@@ -115,13 +120,18 @@ class Atom(Formula):
 
 
 @_node
-class Top(Formula):
+class _Constant(Formula):
+    """The shape of Top and Bot."""
+
+
+class Top(_Constant):
     """The constant true."""
+    __slots__ = ()
 
 
-@_node
-class Bot(Formula):
+class Bot(_Constant):
     """The constant false."""
+    __slots__ = ()
 
 
 @_node
@@ -130,43 +140,45 @@ class Not(Formula):
 
 
 @_node
-class And(Formula):
+class _Binary(Formula):
+    """The shape of And, Or, Implies and Iff."""
+
     left: Formula
     right: Formula
 
 
-@_node
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
 
 
 @_node
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class _Modal(Formula):
+    """The shape of Ability and Inability."""
+
+    coalition: Coalition
+    body: Formula
 
 
-@_node
-class Iff(Formula):
-    left: Formula
-    right: Formula
-
-
-@_node
-class Ability(Formula):
+class Ability(_Modal):
     """E[C] body: coalition C has a joint action forcing body."""
-
-    coalition: Coalition
-    body: Formula
+    __slots__ = ()
 
 
-@_node
-class Inability(Formula):
+class Inability(_Modal):
     """I[C] body: every joint action of C can be countered."""
-
-    coalition: Coalition
-    body: Formula
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

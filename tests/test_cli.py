@@ -1,5 +1,6 @@
 """Command-line surface."""
 
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -243,7 +244,7 @@ def test_laws_fixture_mismatch_fails_the_row(capsys, monkeypatch, part):
     from clic import replay_fixture
     law = _broken_symmetry(part)
     assert replay_fixture(law) is False
-    monkeypatch.setattr("clic.cli.catalog", lambda: (law,))
+    monkeypatch.setattr("clic.laws.catalog", lambda: (law,))
     code, out, _ = run(capsys, "laws", "--law", "broken")
     assert code == 1
     lines = out.splitlines()
@@ -312,6 +313,28 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "E[1] p"
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("parse", "p"), ("countermodel", "p | !p"), ("laws", "--law", "symmetry"),
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_2_with_no_message(argv, buffered):
+    """A reader that went away is no usage error to report: exit 2, and
+    neither an error line nor an ignored exception at shutdown."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "clic.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE,
+                              text=True, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Formula parsing, printing, hashing, and canonical enumeration."""
 
 import copy
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -317,6 +318,66 @@ def test_cached_hash_stays_out_of_pickles_and_copies():
                           capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "found"
+
+
+# ---------------------------------------------------------------------------
+# Node classes: nodes with the same fields share one dataclass
+
+FIELDS = {
+    Atom: ("name",), Top: (), Bot: (), Not: ("body",),
+    And: ("left", "right"), Or: ("left", "right"),
+    Implies: ("left", "right"), Iff: ("left", "right"),
+    Ability: ("coalition", "body"), Inability: ("coalition", "body"),
+}
+ARGUMENTS = {"name": "p", "body": p, "left": p, "right": q,
+             "coalition": Coalition((1,))}
+
+
+def example(cls):
+    return cls(*(ARGUMENTS[name] for name in FIELDS[cls]))
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_each_node_keeps_its_fields_and_contracts(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == FIELDS[cls]
+    assert cls.__match_args__ == FIELDS[cls]
+    f = example(cls)
+    for name in FIELDS[cls]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, q)
+    for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert type(g) is cls and g == f and hash(g) == hash(f)
+
+
+def test_nodes_of_one_shape_never_equal():
+    """Equal fields under different classes are different formulas:
+    And/Or/Implies/Iff, Ability/Inability, Top/Bot, and Not beside a
+    modality over the same body."""
+    nodes = [example(cls) for cls in FIELDS]
+    for f in nodes:
+        for g in nodes:
+            assert (f == g) is (type(f) is type(g))
+            assert (f != g) is (type(f) is not type(g))
+
+
+def spelled(f):
+    """f as nested tuples of its type and fields."""
+    if not isinstance(f, clic.Formula):
+        return f
+    return (type(f), *(spelled(getattr(f, name))
+                       for name in f.__dataclass_fields__))
+
+
+def test_hash_is_the_hash_of_type_and_fields():
+    """hash(f) == hash((type(f), *fields)) down the tree.  A class hashes
+    by its address, so the values differ between processes even under
+    one PYTHONHASHSEED; this identity is what a hash stored in a node
+    keeps."""
+    for text in ("p", "true", "false", "!p", "p & q", "p | q", "p -> q",
+                 "p <-> q", "E[1,2] p", "I[] !p",
+                 "E[1] (p & !q) -> I[1,2] (p | q) <-> true"):
+        f = parse_formula(text)
+        assert hash(f) == hash(spelled(f))
 
 
 # ---------------------------------------------------------------------------
