@@ -2,7 +2,7 @@
 one-step game models, satisfaction checking, inability elimination, and
 bounded countermodel search."""
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 # Each submodule's __all__ is the one list of its public names; `clic`
 # re-exports them in this order, and loads a module when one of its names
@@ -33,4 +33,4 @@ def __dir__() -> list[str]:
 
 
 def _submodule(name: str):
-    return import_module(f"{__name__}.{name}")
+    return _import_module(f"{__name__}.{name}")

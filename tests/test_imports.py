@@ -79,3 +79,10 @@ def test_all_keeps_its_order_and_dir_lists_it():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nothing'"):
         clic.nothing
+
+
+def test_package_declares_no_public_name_of_its_own():
+    own = {n for n in vars(clic) if not n.startswith("_")}
+    modules = {m for m in own if getattr(clic, m) is sys.modules.get(
+        f"clic.{m}")}
+    assert own - modules <= set(clic.__all__)
