@@ -42,9 +42,11 @@ from .formula import (
 from .model import Bounds, CoalitionModel, _layout, size_blocks
 
 # Most steps the blocks one search reaches may take to build (about 2 s
-# at most), most valuations of a block, and most bits of its frame count,
-# which keeps the counts a search prints under str()'s 4,300 digits.
+# at most), most valuations of a block, most bits of its frame count,
+# which keeps the counts a search prints under str()'s 4,300 digits, and
+# most frames a caller that walks them reaches (about 16 us each).
 MAX_REACH_WORK, MAX_VALUATIONS, MAX_FRAME_BITS = 1 << 21, 1 << 18, 14_000
+MAX_FRAME_WALK = 1 << 20
 
 
 class SearchTooLarge(ClicError):
@@ -141,14 +143,16 @@ _block = lru_cache(maxsize=256)(ModelContext)
 
 
 @lru_cache(maxsize=256)
-def _plan(b: Bounds, min_agents: int, masks: Sequence[int]) -> tuple:
+def _plan(b: Bounds, min_agents: int, masks: Sequence[int],
+          walks: bool = False) -> tuple:
     """b's size blocks with min_agents+ agents in order, as (agents, states,
     sizes, steps up to it, rows, frames), and the error at the first block
     past a bound, or None.  A block takes a step per agent, state and
     complete profile, and per coalition of `masks` (sorted, distinct) within
     its agents, a share per complete profile and, per row, a reach-set entry
-    per complete profile and 8 for the row's own sets and table entries."""
-    plan, work = [], 0
+    per complete profile and 8 for the row's own sets and table entries.
+    A caller that `walks` every block's frames is charged for them too."""
+    plan, work, walked = [], 0, 0
     for n_agents, n_states, sizes in size_blocks(b, min_agents):
         profiles = prod(sizes)
         rows = n_states ** profiles
@@ -157,12 +161,15 @@ def _plan(b: Bounds, min_agents: int, masks: Sequence[int]) -> tuple:
         within = bisect_left(masks[:1 << n_agents], 1 << n_agents)
         work += n_agents + n_states + profiles + within * (
             profiles * n_agents + rows * (profiles + 8))
+        walked += walks and frames
         if 1 << n_states * len(b.props) > MAX_VALUATIONS:
             why = f"over {MAX_VALUATIONS} valuations"
         elif work > MAX_REACH_WORK:
             why = f"its blocks take over {MAX_REACH_WORK} steps to build"
         elif frames > 1 << MAX_FRAME_BITS:
             why = f"over 2**{MAX_FRAME_BITS} frames"
+        elif walked > MAX_FRAME_WALK:
+            why = f"it walks over {MAX_FRAME_WALK} frames"
         else:
             plan.append((n_agents, n_states, sizes, work, rows, frames))
             continue
@@ -171,12 +178,13 @@ def _plan(b: Bounds, min_agents: int, masks: Sequence[int]) -> tuple:
     return tuple(plan), None
 
 
-def blocks(b: Bounds, min_agents: int = 1,
-           masks: Sequence[int] = ()) -> Iterator[ModelContext]:
+def blocks(b: Bounds, min_agents: int = 1, masks: Sequence[int] = (),
+           walks: bool = False) -> Iterator[ModelContext]:
     """The blocks of b with min_agents+ agents in order, charged for the
-    reach sets of coalitions `masks`, each built when reached.  Raises
-    SearchTooLarge on reaching one past a bound."""
-    plan, stop = _plan(b, min_agents, masks)
+    reach sets of coalitions `masks` and, if the caller `walks` them, for
+    their frames, each built when reached.  Raises SearchTooLarge on
+    reaching one past a bound."""
+    plan, stop = _plan(b, min_agents, masks, walks)
     for _, k, sizes, _, rows, frames in plan:
         yield _block(b.props, b.vary_all_states, k, sizes, rows, frames)
     if stop:

@@ -6,8 +6,8 @@ __all__ = [
     "ClicError", "ParseError", "DuplicateAgentInCoalition",
     "ModelFormatError", "MissingInit", "MissingActions", "UnknownState",
     "UnknownAction", "UnknownAgent", "PartialOutcome",
-    "CoalitionOutOfRange", "ProfilesNotPartition", "BoundsTooSmall",
-    "BoundsInsufficientForFormula", "FixtureMissing",
+    "CoalitionOutOfRange", "BoundsTooSmall", "BoundsInsufficientForFormula",
+    "FixtureMissing",
 ]
 
 
@@ -83,10 +83,6 @@ class PartialOutcome(ModelFormatError):
 
 class CoalitionOutOfRange(ClicError):
     """A coalition mentions an agent outside the model's agent set."""
-
-
-class ProfilesNotPartition(ClicError):
-    """Two joint actions do not split the agent set into disjoint halves."""
 
 
 class BoundsTooSmall(ClicError, ValueError):

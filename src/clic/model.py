@@ -29,14 +29,14 @@ from typing import Iterator, Mapping
 
 from .errors import (
     BoundsTooSmall, CoalitionOutOfRange, MissingActions, MissingInit,
-    ModelFormatError, PartialOutcome, ProfilesNotPartition, UnknownAction,
-    UnknownAgent, UnknownState,
+    ModelFormatError, PartialOutcome, UnknownAction, UnknownAgent,
+    UnknownState,
 )
 from .formula import MAX_AGENT, Coalition, agent_index
 
 __all__ = [
     "ActionProfile", "Bounds", "CoalitionModel",
-    "apply", "complement", "enumerate_models", "parse_model", "print_model",
+    "complement", "enumerate_models", "parse_model", "print_model",
     "profiles",
 ]
 
@@ -122,27 +122,6 @@ def profiles(m: CoalitionModel, c: Coalition) -> Iterator[ActionProfile]:
     pools = [m.actions[a - 1] for a in c.members]
     for combo in product(*pools):
         yield ActionProfile(c, tuple(zip(c.members, combo)))
-
-
-def apply(m: CoalitionModel, state: str, p1: ActionProfile,
-          p2: ActionProfile) -> str:
-    """Outcome state under the union of two complementary joint actions."""
-    if state not in m.states:
-        raise UnknownState(f"state {state!r} not declared")
-    mask1 = p1.coalition.mask
-    mask2 = p2.coalition.mask
-    if mask1 & mask2 or mask1 | mask2 != (1 << m.n_agents) - 1:
-        raise ProfilesNotPartition(
-            f"profiles for {p1.coalition} and {p2.coalition} do not "
-            f"partition the {m.n_agents}-agent set")
-    merged = dict(p1.choices)
-    merged.update(p2.choices)
-    full = tuple(merged[a] for a in range(1, m.n_agents + 1))
-    for i, act in enumerate(full):
-        if act not in m.actions[i]:
-            raise UnknownAction(
-                f"action {act!r} not declared for agent {i + 1}")
-    return m.outcome[(state, full)]
 
 
 # ---------------------------------------------------------------------------

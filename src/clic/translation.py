@@ -88,15 +88,15 @@ def check_truth_preservation(b: Bounds,
     rebuilds the model of valuation v on the frame, and bit v is
     compared with it.  Violations are listed in that order: by size
     block, frame, valuation, formula and state.  The grid walks every
-    model, so `_eval._plan` charges it for every coalition, and sizes it
-    before it builds a formula: past the plan's bounds it raises
-    SearchTooLarge, and past MAX_FORMULAS formulas ClicError, before it
-    translates one.  Bounds that cannot search every formula raise
+    model, so `_eval._plan` charges it for every coalition and frame,
+    and sizes it before it builds a formula: past the plan's bounds it
+    raises SearchTooLarge, and past MAX_FORMULAS formulas ClicError,
+    before it translates one.  Bounds that cannot search every formula raise
     BoundsInsufficientForFormula, as in `find_countermodel`.
     """
     if max_formula_depth < 0:
         raise BoundsTooSmall("no formulas below depth 0")
-    space = list(blocks(b, 1, range(1 << b.max_agents)))    # sized first
+    space = list(blocks(b, 1, range(1 << b.max_agents), True))  # sized first
     formulas = list(islice(enumerate_formulas(b.props, b.max_agents,
                                               max_formula_depth),
                            MAX_FORMULAS + 1))

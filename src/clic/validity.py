@@ -70,10 +70,12 @@ class NoCounterexampleWithinBounds:
 Verdict = Counterexample | NoCounterexampleWithinBounds
 
 
-def _require_searchable(f: Formula, b: Bounds) -> tuple[int, tuple[int, ...]]:
-    """Raise unless b can search f; return max_agent(f) and its coalition
-    masks.  The only rule on what a bounds can search: every search asks
-    it before it scans, and `_eval.blocks` bounds the blocks it reaches."""
+def _require_searchable(f: Formula,
+                        b: Bounds) -> tuple[int, tuple[int, ...], bool]:
+    """Raise unless b can search f; return max_agent(f), its coalition
+    masks, and whether a scan walks frames (modal depth 2+).  The only
+    rule on what a bounds can search: every search asks it before it
+    scans, and `_eval.blocks` bounds the blocks it reaches."""
     need, atoms, depth, masks = measures(f)
     if need > b.max_agents:
         raise BoundsInsufficientForFormula(
@@ -87,7 +89,7 @@ def _require_searchable(f: Formula, b: Bounds) -> tuple[int, tuple[int, ...]]:
         raise BoundsInsufficientForFormula(
             "nested modalities need vary_all_states=True: without it the "
             "search only varies outcomes at initial states")
-    return need, masks
+    return need, masks, depth >= 2
 
 
 def _search(f: Formula, b: Bounds) -> tuple[Verdict, int, int]:
@@ -96,10 +98,10 @@ def _search(f: Formula, b: Bounds) -> tuple[Verdict, int, int]:
     Models with fewer agents than f mentions cannot interpret f and are
     skipped without being counted.
     """
-    need, masks = _require_searchable(f, b)
+    need, masks, walks = _require_searchable(f, b)
     compiled = compile_formula(f)
     models_checked = states_checked = 0
-    for block in blocks(b, need, masks):
+    for block in blocks(b, need, masks, walks):
         checked, m, state = first_failure(compiled, block)
         models_checked += checked
         states_checked += checked * block.n_states

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from clic import catalog, parse_formula, parse_model, satisfies
 from clic import cli
-from clic._eval import MAX_FRAME_BITS, MAX_REACH_WORK, MAX_VALUATIONS
+from clic._eval import (
+    MAX_FRAME_BITS, MAX_FRAME_WALK, MAX_REACH_WORK, MAX_VALUATIONS,
+)
 from clic.formula import MAX_AGENT, MAX_NESTING
 from clic.laws import MAX_INSTANTIATIONS
 from clic.model import MAX_OUTCOMES
@@ -483,6 +485,8 @@ _REACH = (f"search too large: its blocks take over {MAX_REACH_WORK} steps "
           f"to build, at the block of agents ")
 _LANES = f"search too large: over {MAX_VALUATIONS} valuations, at the block "
 _FRAMES = f"search too large: over 2**{MAX_FRAME_BITS} frames, at the block "
+_WALK = (f"search too large: it walks over {MAX_FRAME_WALK} frames, at the "
+         "block ")
 
 
 @pytest.mark.parametrize("argv,code,tail", [
@@ -519,6 +523,9 @@ _FRAMES = f"search too large: over 2**{MAX_FRAME_BITS} frames, at the block "
     (("countermodel", "true", "--agents", "1", "--actions", "1",
       "--states", "1500", "--all-states"), 2,
      _FRAMES + "of agents 1, states 1347"),
+    (("countermodel", "E[1] E[1] p | !E[1] E[1] p", "--all-states",
+      "--states", "5", "--agents", "1", "--actions", "3"), 2,
+     _WALK + "of agents 1, states 4"),
     (("countermodel", "!E[] (true & false)", "--agents", "1", "--actions",
       "1", "--states", "1000000000000"), 2, _REACH + "1, states 647"),
     (("laws", "--agents", "30"), 2,
@@ -532,14 +539,16 @@ _FRAMES = f"search too large: over 2**{MAX_FRAME_BITS} frames, at the block "
         "agent-30", "actions-1e12", "actions-1e12-exhausting",
         "agents-4-found-early", "named-agents-4", "agents-3",
         "agents-10000", "states-24", "agents-6", "actions-9",
-        "actions-100", "all-states-1500", "states-1e12-one-profile",
+        "actions-100", "all-states-1500", "depth-2-walk",
+        "states-1e12-one-profile",
         "laws-agents-30", "laws-agents-1e12", "laws-duality-agents-20000"])
 def test_reach_sets_are_bounded_as_blocks_are_reached(capsys, argv, code,
                                                       tail):
     """Each of these ran out of memory (exit 1) or ran on for minutes
     before searches were bounded: a search that passes MAX_REACH_WORK
     steps, or reaches a block of over MAX_VALUATIONS valuations or of
-    over 2**MAX_FRAME_BITS frames, is a usage error, while one that
+    over 2**MAX_FRAME_BITS frames, or walks over MAX_FRAME_WALK frames of
+    a depth-2 formula, is a usage error, while one that
     stops or exhausts before it keeps its verdict.  A search is charged
     a floor per block and the reach sets of the coalitions its formula
     names only, so a formula that names none exhausts a space whose
@@ -547,7 +556,9 @@ def test_reach_sets_are_bounded_as_blocks_are_reached(capsys, argv, code,
     (agents-6, actions-9, actions-100) are too many for a range() length:
     its counts are products, never lengths.  Each block is charged its
     rows as well, so many states of one profile stop soon
-    (states-1e12-one-profile ran 10 s), and `laws` builds its coalitions
+    (states-1e12-one-profile ran 10 s), a depth-2 formula stops before
+    the block whose frames it cannot walk (depth-2-walk ran on past 10 s),
+    and `laws` builds its coalitions
     as it reaches them, with at most MAX_AGENT agents and
     MAX_INSTANTIATIONS instances a law (the laws-* cases grew without
     bound or ended in a MemoryError)."""

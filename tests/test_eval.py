@@ -11,13 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from clic import (
     Ability, And, Atom, Bounds, Coalition, Counterexample, Inability, Not,
-    apply, check_truth_preservation, complement, default_bounds,
+    check_truth_preservation, complement, default_bounds,
     enumerate_formulas, enumerate_models, extension, max_agent, modal_depth,
     parse_formula, profiles, propositions_of,
 )
 from clic._eval import (
-    MAX_REACH_WORK, SearchTooLarge, Table, _block, _column, _plan, _table,
-    blocks, compile_formula, first_failure,
+    MAX_FRAME_WALK, MAX_REACH_WORK, SearchTooLarge, Table, _block, _column,
+    _plan, _table, blocks, compile_formula, first_failure,
 )
 from clic.errors import ClicError
 from clic.translation import MAX_FORMULAS
@@ -205,6 +205,29 @@ def test_grid_is_sized_before_it_builds_anything(n, depth):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_walk_bound_lets_depth_2_searches_at_default_bounds_through(k):
+    """A depth-2 search walks every frame of each block it reaches: with
+    every state varying at default bounds, 533,222 frames from two agents
+    on, and 778 more with one."""
+    plan, stop = _plan(Bounds(2, 3, 2, ("p",), True), k, range(4), True)
+    assert stop is None
+    assert sum(entry[5] for entry in plan) == {1: 534_000, 2: 533_222}[k]
+
+
+def test_grid_is_charged_for_the_frames_it_walks(monkeypatch):
+    """One agent, 4 states and 3 actions, every state varying, reach a
+    block of 64**4 frames: the grid refuses before it binds a formula."""
+    def refuse(g, block):
+        raise AssertionError(f"bound {g!r}")
+    monkeypatch.setattr("clic._eval._bind", refuse)
+    with pytest.raises(SearchTooLarge) as exc:
+        check_truth_preservation(Bounds(1, 4, 3, ("p",), True), 0)
+    assert str(exc.value) == (
+        f"search too large: it walks over {MAX_FRAME_WALK} frames, at the "
+        "block of agents 1, states 4")
+
+
 def test_grid_counts_its_formulas_before_it_translates_one(monkeypatch):
     """At depth 3 one agent gives 756,027 formulas: the grid stops at the
     first past MAX_FORMULAS, before it translates any or asks whether the
@@ -283,9 +306,11 @@ def test_reach_sets_match_joint_actions():
             c = Coalition.from_bitmask(mask)
             others = list(profiles(m, complement(m, c)))
             for i, s in enumerate(m.states):
+                # Merged here, independent of the semantics' `_Game`.
                 want = _minimal(
-                    frozenset(m.states.index(apply(m, s, pc, pd))
-                              for pd in others)
+                    frozenset(m.states.index(m.outcome[s, tuple(
+                        act for _, act in sorted(pc.choices + pd.choices))])
+                        for pd in others)
                     for pc in profiles(m, c))
                 column = _column(block.n_states, block.sizes, mask)
                 got = sorted(frozenset(r) for r in column[fr[i]])

@@ -13,13 +13,12 @@ ALL = [
     "ClicError", "ParseError", "DuplicateAgentInCoalition",
     "ModelFormatError", "MissingInit", "MissingActions", "UnknownState",
     "UnknownAction", "UnknownAgent", "PartialOutcome", "CoalitionOutOfRange",
-    "ProfilesNotPartition", "BoundsTooSmall", "BoundsInsufficientForFormula",
-    "FixtureMissing",
+    "BoundsTooSmall", "BoundsInsufficientForFormula", "FixtureMissing",
     "Formula", "Atom", "Top", "Bot", "Not", "And", "Or", "Implies", "Iff",
     "Ability", "Inability", "Coalition", "parse_formula", "print_formula",
     "ast_dump", "max_agent", "modal_depth", "propositions_of",
     "enumerate_formulas",
-    "ActionProfile", "Bounds", "CoalitionModel", "apply", "complement",
+    "ActionProfile", "Bounds", "CoalitionModel", "complement",
     "enumerate_models", "parse_model", "print_model", "profiles",
     "AbilityWitness", "InabilityWitness", "check_ability", "check_inability",
     "extension", "extensions", "satisfies", "verify_ability_witness",

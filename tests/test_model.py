@@ -7,8 +7,8 @@ import pytest
 from clic import (
     ActionProfile, Bounds, BoundsTooSmall, Coalition, CoalitionOutOfRange,
     MissingActions,
-    MissingInit, ModelFormatError, PartialOutcome, ProfilesNotPartition,
-    UnknownAction, UnknownAgent, UnknownState, apply, complement,
+    MissingInit, ModelFormatError, PartialOutcome, UnknownAction,
+    UnknownAgent, UnknownState, complement,
     enumerate_models, parse_model, print_model, profiles,
 )
 from clic.model import size_blocks
@@ -150,29 +150,6 @@ def test_profiles_order_and_count(m1):
     assert len(empty) == 1 and str(empty[0]) == "(empty)"
     with pytest.raises(CoalitionOutOfRange):
         next(profiles(m1, Coalition((1, 3))))
-
-
-def test_apply(m1):
-    one_a = ActionProfile(Coalition((1,)), ((1, "a"),))
-    two_a = ActionProfile(Coalition((2,)), ((2, "a"),))
-    two_b = ActionProfile(Coalition((2,)), ((2, "b"),))
-    assert apply(m1, "s", one_a, two_a) == "t"
-    assert apply(m1, "s", one_a, two_b) == "u"
-    assert apply(m1, "s", two_a, one_a) == "t"
-
-
-def test_apply_rejects_bad_inputs(m1):
-    one_a = ActionProfile(Coalition((1,)), ((1, "a"),))
-    with pytest.raises(ProfilesNotPartition):
-        apply(m1, "s", one_a, one_a)
-    with pytest.raises(ProfilesNotPartition):
-        apply(m1, "s", one_a,
-              ActionProfile(Coalition.from_bitmask(0), ()))
-    with pytest.raises(UnknownState):
-        apply(m1, "v", one_a, ActionProfile(Coalition((2,)), ((2, "a"),)))
-    with pytest.raises(UnknownAction):
-        apply(m1, "s", ActionProfile(Coalition((1,)), ((1, "zap"),)),
-              ActionProfile(Coalition((2,)), ((2, "a"),)))
 
 
 def test_action_profile_must_cover_its_coalition():
