@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
 
@@ -24,7 +24,9 @@ from .formula import (
 )
 from .model import Bounds, CoalitionModel, parse_model
 from .semantics import satisfies
-from .validity import Counterexample, default_bounds, find_countermodel
+from .validity import (
+    Counterexample, Verdict, default_bounds, find_countermodel,
+)
 
 __all__ = [
     "Fixture", "Law", "LawReport", "LawResult",
@@ -57,6 +59,14 @@ class Law:
     `formula_mode` selects those parameters: "none", "one", "two", or
     "entailment" (pairs (f, g) where f entails g by construction).
     `side_condition` filters coalition tuples.
+
+    `run_laws` settles a coalition tuple's instances by one search of
+    the scheme at the bounds' own atoms ((p,), (p, q), or (p, p | q) and
+    (p & q, p)) if it exhausts and each instance is that formula with p
+    and q substituted, as when the scheme uses its parameters only
+    through connectives.  Any other tuple (a literal atom, a branch on
+    the parameters, a countermodel, mode "none") is searched instance by
+    instance.  The counts are the same either way.
     """
 
     id: str
@@ -358,11 +368,66 @@ def _formula_pool(atoms: Sequence[str]) -> list[Formula]:
     return pool
 
 
-_ARITY = {"none": 0, "one": 1, "two": 2}
+def _substitute(f: Formula, sigma: dict[str, Formula]) -> Formula:
+    """f with every atom that sigma names replaced, all at once."""
+    if isinstance(f, Atom):
+        return sigma.get(f.name, f)
+    if isinstance(f, Not):
+        return Not(_substitute(f.body, sigma))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(_substitute(f.left, sigma), _substitute(f.right, sigma))
+    if isinstance(f, (Ability, Inability)):
+        return type(f)(f.coalition, _substitute(f.body, sigma))
+    return f
+
+
+# Per formula mode: its parameter tuples as templates over the atoms p and
+# q, and how many of those two (the first ones) its templates name.  A
+# template is filled with every tuple of pool formulas for them, in order.
+_P, _Q = Atom("p"), Atom("q")
+_TEMPLATES = {"none": ((),), "one": ((_P,),), "two": ((_P, _Q),),
+              "entailment": ((_P, Or(_P, _Q)), (And(_P, _Q), _P))}
+_ARITY = {"none": 0, "one": 1, "two": 2, "entailment": 2}
 
 # Most instantiations of one law, counted before its side condition: a
-# valid law searches each of them.
+# law run builds each of them, and may search each.
 MAX_INSTANTIATIONS = 1 << 16
+
+
+def _fill(template: tuple[Formula, ...],
+          formulas: Sequence[Formula]) -> tuple[Formula, ...]:
+    sigma = dict(zip("pq", formulas))
+    return tuple(_substitute(t, sigma) for t in template)
+
+
+def _groups(law: Law, n_agents: int, atoms: Sequence[str]) -> Iterator[
+        tuple[tuple[Coalition, ...], tuple[Formula, ...], list]]:
+    """The instances of `instantiations` with the refusals it documents,
+    as (coalitions, template, params) per coalition tuple and template:
+    params pairs each tuple of pool formulas put for p and q with the
+    parameters it fills the template to."""
+    if n_agents < 1:
+        raise ValueError("need at least one agent")
+    if n_agents > MAX_AGENT:    # no Coalition holds the agents past it
+        raise ClicError(f"laws range over at most {MAX_AGENT} agents")
+    pool = _formula_pool(atoms)
+    if law.formula_mode not in _TEMPLATES:
+        raise ValueError(f"unknown formula mode {law.formula_mode!r}")
+    templates = _TEMPLATES[law.formula_mode]
+    picks = list(product(pool, repeat=_ARITY[law.formula_mode]))
+    if (len(templates) * len(picks) << n_agents * law.coalition_arity
+            > MAX_INSTANTIATIONS):
+        raise ClicError(f"law {law.id!r} has over {MAX_INSTANTIATIONS} "
+                        f"instantiations at {n_agents} agents")
+    filled = [(t, [(ps, _fill(t, ps)) for ps in picks]) for t in templates]
+    # Coalitions are built as the loop reaches them, not all 2**n up front.
+    masks = range(1 << n_agents) if law.coalition_arity else ()
+    for ms in product(masks, repeat=law.coalition_arity):
+        cs = tuple(map(Coalition.from_bitmask, ms))
+        if law.side_condition is not None and not law.side_condition(cs):
+            continue
+        for t, params in filled:
+            yield cs, t, params
 
 
 def instantiations(law: Law, n_agents: int,
@@ -377,28 +442,8 @@ def instantiations(law: Law, n_agents: int,
     agents or MAX_INSTANTIATIONS instances it raises ClicError before the
     first instance.
     """
-    if n_agents < 1:
-        raise ValueError("need at least one agent")
-    if n_agents > MAX_AGENT:    # no Coalition holds the agents past it
-        raise ClicError(f"laws range over at most {MAX_AGENT} agents")
-    pool = _formula_pool(atoms)
-    if law.formula_mode == "entailment":
-        fss = [(f, Or(f, g)) for f in pool for g in pool]
-        fss += [(And(f, g), f) for f in pool for g in pool]
-    elif law.formula_mode in _ARITY:
-        fss = list(product(pool, repeat=_ARITY[law.formula_mode]))
-    else:
-        raise ValueError(f"unknown formula mode {law.formula_mode!r}")
-    if len(fss) << n_agents * law.coalition_arity > MAX_INSTANTIATIONS:
-        raise ClicError(f"law {law.id!r} has over {MAX_INSTANTIATIONS} "
-                        f"instantiations at {n_agents} agents")
-    # Coalitions are built as the loop reaches them, not all 2**n up front.
-    masks = range(1 << n_agents) if law.coalition_arity else ()
-    for ms in product(masks, repeat=law.coalition_arity):
-        cs = tuple(map(Coalition.from_bitmask, ms))
-        if law.side_condition is not None and not law.side_condition(cs):
-            continue
-        for fs in fss:
+    for cs, _, params in _groups(law, n_agents, atoms):
+        for _, fs in params:
             yield law.scheme(n_agents, cs, fs)
 
 
@@ -482,6 +527,67 @@ _OBSERVED = {"valid": ("invalid", "valid"),
              "satisfiable": ("satisfiable", "unsatisfiable")}
 
 
+def _verdict(law: Law, f: Formula, b: Bounds) -> Verdict:
+    """The row's search on f: a model of f is a countermodel of !f."""
+    return find_countermodel(Not(f) if law.expected == "satisfiable" else f,
+                             b)
+
+
+def _settle(law: Law, b: Bounds, cs: tuple[Coalition, ...],
+            template: tuple[Formula, ...], params: list) -> int | None:
+    """Models each instance of the group checks, if its schematic formula
+    (the template filled with the bounds' first atoms) exhausts and each
+    instance is that formula with those atoms substituted; else None.
+
+    A block varies every valuation of the bounds' atoms over each frame,
+    so a countermodel of an instance, its valuation replaced by the
+    extensions of the substituted formulas, is one of the schematic
+    formula in the same block.  The pool formulas name no coalition, so
+    an instance also has the schematic formula's agents, coalitions and
+    modal depth, and its search exhausts the same blocks."""
+    arity = _ARITY[law.formula_mode]
+    if not arity or len(b.props) < arity:
+        return None
+    names = b.props[:arity]
+    schematic = law.scheme(b.max_agents, cs,
+                           _fill(template, [Atom(a) for a in names]))
+    try:
+        verdict = _verdict(law, schematic, b)
+    except ClicError:   # the instances' own searches raise or skip
+        return None
+    if isinstance(verdict, Counterexample) or any(
+            law.scheme(b.max_agents, cs, fs)
+            != _substitute(schematic, dict(zip(names, ps)))
+            for ps, fs in params):
+        return None
+    return verdict.models_checked
+
+
+def _searches(law: Law, b: Bounds, pinned: list[Formula]
+              ) -> Iterator[tuple[int, int, Verdict | None, Formula | None]]:
+    """(instances, models checked, verdict, instance) per search of a row:
+    the pinned instance, then per group its settled total, or else each
+    instance's own search.  A valid row must search every instance: one
+    the bounds cannot search raises rather than pass unchecked; another
+    row counts it and skips it."""
+    def search(f: Formula):
+        try:
+            verdict = _verdict(law, f, b)
+        except BoundsInsufficientForFormula:
+            if law.expected == "valid":
+                raise
+            return 1, 0, None, f
+        return 1, verdict.models_checked, verdict, f
+    yield from map(search, pinned)
+    for cs, template, params in _groups(law, b.max_agents, b.props):
+        models = _settle(law, b, cs, template, params)
+        if models is None:
+            for _, fs in params:
+                yield search(law.scheme(b.max_agents, cs, fs))
+        else:
+            yield len(params), len(params) * models, None, None
+
+
 def _run_law(law: Law, b: Bounds) -> LawResult:
     start = perf_counter()
     if law.expected not in _OBSERVED:
@@ -489,24 +595,14 @@ def _run_law(law: Law, b: Bounds) -> LawResult:
     found, observed = _OBSERVED[law.expected]
     count = models_total = 0
     evidence = instance = None
-    # A valid row must search every instance: one the bounds cannot
-    # search raises rather than pass unchecked.  The other rows try the
-    # fixture's pinned instance first, the known falsifying (or
-    # satisfying) shape, so search need not wade through valid ones; an
-    # instance naming agents past the bounds is counted but skipped.
-    valid = law.expected == "valid"
-    pinned = ([] if valid or law.fixture is None
+    # A row other than a valid one tries its fixture's pinned instance
+    # first, the known falsifying (or satisfying) shape, so search need
+    # not wade through valid ones.
+    pinned = ([] if law.expected == "valid" or law.fixture is None
               else [parse_formula(law.fixture.instance)])
-    for f in chain(pinned, instantiations(law, b.max_agents, b.props)):
-        count += 1
-        try:    # a model of f is a countermodel of !f
-            verdict = find_countermodel(
-                Not(f) if law.expected == "satisfiable" else f, b)
-        except BoundsInsufficientForFormula:
-            if valid:
-                raise
-            continue
-        models_total += verdict.models_checked
+    for n, models, verdict, f in _searches(law, b, pinned):
+        count += n
+        models_total += models
         if isinstance(verdict, Counterexample):
             observed, evidence, instance = found, verdict, f
             break

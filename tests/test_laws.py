@@ -1,20 +1,22 @@
 """Catalog of structural laws and its runner."""
 
 from hashlib import sha256
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 import pytest
 
 from clic import (
     Atom, Bot, Bounds, BoundsInsufficientForFormula, ClicError, Coalition,
-    Counterexample, Fixture, FixtureMissing, Law,
-    NoCounterexampleWithinBounds, Top, catalog, check_equivalence,
+    Counterexample, Fixture, FixtureMissing, Implies, Law,
+    NoCounterexampleWithinBounds, Not, Top, catalog, check_equivalence,
     default_bounds, enumerate_formulas, find_countermodel, fixture_model,
     instantiations, max_agent, parse_formula, print_formula, replay_fixture,
     run_laws, satisfies,
 )
+from clic import laws as laws_module
 from clic.formula import MAX_AGENT
+from clic.laws import _groups, _substitute
 
 BY_ID = {law.id: law for law in catalog()}
 
@@ -462,3 +464,152 @@ def test_catalog_with_every_state_varying():
             assert ALL_STATES[law.id][1] == sum(
                 _space(b, max_agent(f))
                 for f in instantiations(law, b.max_agents, b.props))
+
+
+def test_instances_are_substitutions_of_their_schematic_formula():
+    """The proof obligation of settling a group by one search: each
+    instance is the scheme at p and q with the pool formulas put for
+    them, so every catalog scheme uses its parameters by connectives."""
+    for law in catalog():
+        if law.formula_mode == "none":
+            continue
+        for atoms in (("p", "q"), ("p", "q", "r")):
+            for n in range(1, 4):
+                stream = []
+                for cs, template, params in _groups(law, n, atoms):
+                    schematic = law.scheme(n, cs, template)
+                    for ps, fs in params:
+                        f = law.scheme(n, cs, fs)
+                        assert f == _substitute(
+                            schematic, dict(zip("pq", ps))), \
+                            (law.id, n, atoms, print_formula(f))
+                        stream.append(f)
+                assert stream == list(instantiations(law, n, atoms)), law.id
+
+
+def _per_instance(law, b):
+    """A row as one search per instance, the pinned instance first: what
+    run_laws reports, minus its elapsed time."""
+    found, observed = {"valid": ("invalid", "valid"),
+                       "invalid": ("invalid", "valid"),
+                       "satisfiable": ("satisfiable", "unsatisfiable")
+                       }[law.expected]
+    count = models = 0
+    evidence = instance = None
+    pinned = ([] if law.expected == "valid" or law.fixture is None
+              else [parse_formula(law.fixture.instance)])
+    for f in chain(pinned, instantiations(law, b.max_agents, b.props)):
+        count += 1
+        try:
+            verdict = find_countermodel(
+                Not(f) if law.expected == "satisfiable" else f, b)
+        except BoundsInsufficientForFormula:
+            if law.expected == "valid":
+                raise
+            continue
+        models += verdict.models_checked
+        if isinstance(verdict, Counterexample):
+            observed, evidence, instance = found, verdict, f
+            break
+    fixture_ok = replay_fixture(law) if pinned else None
+    return (law.id, law.expected, observed, count, models,
+            observed == law.expected and fixture_ok is not False,
+            evidence, instance, fixture_ok)
+
+
+def _row(r):
+    return (r.law_id, r.expected, r.observed, r.instantiations,
+            r.models_checked, r.passed, r.evidence, r.instance, r.fixture_ok)
+
+
+@pytest.mark.parametrize("b, failing", [
+    (Bounds(1, 1, 1, ("p",)), 9),
+    (Bounds(1, 2, 2, ("p", "q")), 2),
+    (Bounds(2, 2, 2, ("p",)), 0),   # one atom: modes two and entailment
+])
+def test_rows_match_one_search_per_instance(b, failing):
+    report = run_laws(b)
+    assert [_row(r) for r in report.results] == [
+        _per_instance(law, b) for law in catalog()]
+    assert sum(not r.passed for r in report.results) == failing
+
+
+def _count_searches(monkeypatch):
+    searched = []
+    original = laws_module.find_countermodel
+
+    def counting(f, b):
+        searched.append(f)
+        return original(f, b)
+    monkeypatch.setattr(laws_module, "find_countermodel", counting)
+    return searched
+
+
+def test_a_coalition_tuple_takes_one_search(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    (r,) = run_laws(laws=[BY_ID["anti-monotonicity"]]).results
+    assert r.instantiations == 72
+    assert [print_formula(f) for f in searched[:2]] == [
+        "I[] p -> I[] p", "I[1] p -> I[] p"]
+    assert len(searched) == 9     # the subset pairs over two agents
+
+
+def test_a_scheme_that_is_no_substitution_searches_each_instance(
+        monkeypatch):
+    """`p -> p` is valid, `q -> p` is not: the scheme keeps a literal p,
+    so its instances are not substitutions of the schematic formula."""
+    law = Law("implies-p", "custom", "every parameter implies p", "valid",
+              lambda n, cs, fs: Implies(fs[0], Atom("p")), 0, "one")
+    b = default_bounds()
+    expected = _per_instance(law, b)
+    searched = _count_searches(monkeypatch)
+    (r,) = run_laws(b, [law]).results
+    assert _row(r) == expected
+    assert r.observed == "invalid" and print_formula(r.instance) == "q -> p"
+    assert [print_formula(f) for f in searched] == [
+        "p -> p", "p -> p", "q -> p"]
+
+
+# Per row at Bounds(3, 3, 2, ("p", "q")): instantiations and models
+# checked, as one search per instance counted them.  The default bounds
+# stop at two agents.
+THREE_AGENTS = {
+    "anti-monotonicity": (216, 96101184),
+    "upward-propagation": (1, 66),
+    "subadditivity": (512, 227476736),
+    "superadditivity-for-inability": (1, 247),
+    "contravariance": (1024, 456902656),
+    "covariance": (1, 3),
+    "absorption": (512, 228451328),
+    "conjunction-downward": (512, 228451328),
+    "conjunction-upward": (1, 66),
+    "disjunction-upward": (512, 228451328),
+    "disjunction-downward": (1, 946),
+    "implication-distribution": (512, 228451328),
+    "implication-converse": (1, 946),
+    "excluded-middle": (1, 58),
+    "exclusivity": (1, 1),
+    "symmetry": (1, 1),
+    "complementarity": (1, 1),
+    "opponent-ability": (1, 247),
+    "grand-coalition-duality": (8, 3539968),
+    "empty-coalition-duality": (8, 3539968),
+    "contradiction": (8, 3569552),
+    "truth": (8, 3569552),
+    "axiom-truth": (8, 3569552),
+    "axiom-no-contradiction": (8, 3569552),
+    "axiom-superadditivity": (1728, 768809472),
+    "axiom-grand-coalition": (8, 3539968),
+    "inability-definition": (64, 28556416),
+    "ability-distribution": (66, 29271378),
+    "strategic-impotence": (1, 938),
+}
+
+
+def test_catalog_at_three_agents():
+    report = run_laws(Bounds(3, 3, 2, ("p", "q")))
+    assert report.passed
+    got = {r.law_id: (r.instantiations, r.models_checked)
+           for r in report.results}
+    assert got == THREE_AGENTS
+    assert sum(models for _, models in got.values()) == 2_545_824_786
