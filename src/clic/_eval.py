@@ -10,7 +10,10 @@ the truth under valuation v.  E[C] g at s is the OR, over the minimal
 state sets C's joint actions reach from s, of the AND of g over each
 set, and I[C] g is its complement.  A block is cached by what it is
 (props, vary_all_states, n_states, sizes), not by the bounds around it,
-and builds a coalition's reach sets when a bind first reads them.
+and builds a coalition's reach sets when a bind first reads them.  Rows
+with equal minimal reach sets for C form a class (`_column` numbers them
+by first row and maps each row to its class), and a modality is worked
+out once per class, then read per row through that map.
 
 A formula takes its value in a block in one recursive walk of its AST,
 dispatched on node type as in `semantics.extension`.  The value's type
@@ -69,22 +72,27 @@ def _lanes(n_states: int, n_props: int):
 
 @lru_cache(maxsize=256)
 def _column(n_states: int, sizes: tuple[int, ...], mask: int) -> tuple:
-    """Per outcome row, the minimal reach sets of coalition `mask`; a row
-    holds a state's targets per complete profile, and rows are numbered
-    in the order enumerate_models assigns outcomes in."""
+    """(families, classes) of coalition `mask`: its distinct families of
+    minimal reach sets, numbered by the first row that has each, and per
+    outcome row the number of its family, its class.  A row holds a
+    state's targets per complete profile, and rows are numbered in the
+    order enumerate_models assigns outcomes in."""
     share = [tuple(p[i] for i in range(len(sizes)) if mask >> i & 1)
              for p in product(*map(range, sizes))]
-    return tuple(_minimal_reach(share, row)
-                 for row in product(range(n_states), repeat=len(share)))
+    number: dict[tuple, int] = {}
+    classes = tuple(number.setdefault(_minimal_reach(share, row), len(number))
+                    for row in product(range(n_states), repeat=len(share)))
+    return tuple(number), classes
 
 
 def _minimal_reach(share: list, row: tuple[int, ...]) -> tuple:
+    """The row's minimal reach sets, sorted, so equal families are equal."""
     reach: dict[tuple[int, ...], set[int]] = {}
     for key, target in zip(share, row):
         reach.setdefault(key, set()).add(target)
     sets = set(map(frozenset, reach.values()))
-    return tuple(tuple(sorted(s)) for s in sets
-                 if not any(o < s for o in sets))
+    return tuple(sorted(tuple(sorted(s)) for s in sets
+                        if not any(o < s for o in sets)))
 
 
 def _reach(g: tuple[int, ...], sets: tuple[tuple[int, ...], ...]) -> int:
@@ -191,13 +199,15 @@ def blocks(b: Bounds, min_agents: int = 1, masks: Sequence[int] = (),
         raise SearchTooLarge(stop)
 
 
-# The value at s of a modality over a constant depends on s's row only.
-# Instances of one scheme share most of these tables.
+# The value at s of a modality over a constant depends on s's row only,
+# through the row's class: one reach per class, read per row through the
+# class map.  Instances of one scheme share most of these tables.
 @lru_cache(maxsize=1 << 14)
 def _table(block: ModelContext, c: int, flip: int, x: tuple) -> Table:
-    reach = [flip ^ _reach(x, sets)
-             for sets in _column(block.n_states, block.sizes, c)]
-    return Table(tuple(map(reach.__getitem__, ch)) for ch in block.choices)
+    families, classes = _column(block.n_states, block.sizes, c)
+    reach = [flip ^ _reach(x, sets) for sets in families]
+    return Table(tuple(map(reach.__getitem__, map(classes.__getitem__, ch)))
+                 for ch in block.choices)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +234,13 @@ def _bind(g: Formula, block: ModelContext):
         c, x = g.coalition.mask, _bind(g.body, block)
         flip = block.full if kind is Inability else 0
         if type(x) is not tuple:
-            at, column = block.at, _column(block.n_states, block.sizes, c)
+            at = block.at
+            families, classes = _column(block.n_states, block.sizes, c)
 
             def value(fr):      # the body once per frame, not per state
                 y = at(x, fr)
-                return tuple([flip ^ _reach(y, column[r]) for r in fr])
+                return tuple([flip ^ _reach(y, families[classes[r]])
+                               for r in fr])
             return value
         return _table(block, c, flip, x)
     if kind is Not:             # !x is x -> false

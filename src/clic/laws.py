@@ -381,6 +381,25 @@ def _substitute(f: Formula, sigma: dict[str, Formula]) -> Formula:
     return f
 
 
+def _instance_of(f: Formula, g: Formula, sigma: dict[str, Formula]) -> bool:
+    """g == _substitute(f, sigma), by one walk of both that builds no node."""
+    kind = type(f)
+    if kind is Atom and f.name in sigma:
+        h = sigma[f.name]
+        return h is g or h == g
+    if kind is not type(g):
+        return False
+    if kind is Not:
+        return _instance_of(f.body, g.body, sigma)
+    if kind is And or kind is Or or kind is Implies or kind is Iff:
+        return (_instance_of(f.left, g.left, sigma)
+                and _instance_of(f.right, g.right, sigma))
+    if kind is Ability or kind is Inability:
+        return (f.coalition == g.coalition
+                and _instance_of(f.body, g.body, sigma))
+    return f == g
+
+
 # Per formula mode: its parameter tuples as templates over the atoms p and
 # q, and how many of those two (the first ones) its templates name.  A
 # template is filled with every tuple of pool formulas for them, in order.
@@ -555,9 +574,9 @@ def _settle(law: Law, b: Bounds, cs: tuple[Coalition, ...],
         verdict = _verdict(law, schematic, b)
     except ClicError:   # the instances' own searches raise or skip
         return None
-    if isinstance(verdict, Counterexample) or any(
-            law.scheme(b.max_agents, cs, fs)
-            != _substitute(schematic, dict(zip(names, ps)))
+    if isinstance(verdict, Counterexample) or not all(
+            _instance_of(schematic, law.scheme(b.max_agents, cs, fs),
+                         dict(zip(names, ps)))
             for ps, fs in params):
         return None
     return verdict.models_checked

@@ -93,9 +93,9 @@ def test_row_cache_is_shared_per_bounds():
     for block in (other, mine):
         compile_formula(parse_formula("E[1,2] p"))(block)
     assert _column.cache_info()[:2] == (1, 1)     # hits, misses
-    # At default bounds the cache is a few hundred small tuples.
+    # At default bounds the cache maps a few hundred rows to classes.
     keys = {(x.n_states, x.sizes) for x in first}
-    assert sum(len(_column(k, sizes, c)) for k, sizes in keys
+    assert sum(len(_column(k, sizes, c)[1]) for k, sizes in keys
                for c in range(1 << len(sizes))) == 568
 
 
@@ -116,7 +116,7 @@ def test_reach_work_counts_what_the_reach_sets_take():
     steps = {masks: _steps(plan) for masks, plan in plans.items()}
     for i, block in enumerate(blocks(b)):
         n, k, profiles = block.n_agents, block.n_states, prod(block.sizes)
-        rows = {len(_column(k, block.sizes, c)) for c in range(1 << n)}
+        rows = {len(_column(k, block.sizes, c)[1]) for c in range(1 << n)}
         assert rows == {k ** profiles} == {block.rows}
         floor = n + k + profiles
         assert steps[()][i] == steps[(8,)][i] == floor
@@ -159,9 +159,9 @@ def test_search_builds_and_is_charged_for_the_coalitions_it_names():
     assert built.currsize == built.misses == len(plan)
     work = 0
     for n, k, sizes, charged, _, _ in plan:
-        column = _column(k, sizes, 1)
+        _, classes = _column(k, sizes, 1)
         p = prod(sizes)
-        work += n + k + p + p * n + len(column) * (p + 8)
+        work += n + k + p + p * n + len(classes) * (p + 8)
         assert charged == work
     assert _column.cache_info().misses == built.misses
 
@@ -293,12 +293,14 @@ def test_unknown_atom_is_rejected_when_bound():
 
 
 def _minimal(sets):
+    """The minimal sets among `sets`, an antichain, as a set."""
     sets = set(sets)
-    return sorted(s for s in sets if not any(o < s for o in sets))
+    return {s for s in sets if not any(o < s for o in sets)}
 
 
 def test_reach_sets_match_joint_actions():
-    """Each row's minimal reach sets are those of the model's actions."""
+    """Each row's minimal reach sets, read through its class, are those
+    of the model's actions."""
     for block, v, fr, m in MODELS:
         if v:
             continue        # reach sets do not depend on the valuation
@@ -312,9 +314,41 @@ def test_reach_sets_match_joint_actions():
                         act for _, act in sorted(pc.choices + pd.choices))])
                         for pd in others)
                     for pc in profiles(m, c))
-                column = _column(block.n_states, block.sizes, mask)
-                got = sorted(frozenset(r) for r in column[fr[i]])
+                families, classes = _column(
+                    block.n_states, block.sizes, mask)
+                got = set(map(frozenset, families[classes[fr[i]]]))
                 assert got == want
+
+
+def _row_reach(sizes, mask, row):
+    """A row's minimal reach sets, from its targets per complete profile,
+    grouped by the choices of the coalition's agents."""
+    reach = {}
+    for prof, target in zip(product(*map(range, sizes)), row):
+        key = tuple(a for i, a in enumerate(prof) if mask >> i & 1)
+        reach.setdefault(key, set()).add(target)
+    return _minimal(map(frozenset, reach.values()))
+
+
+@pytest.mark.parametrize("k, sizes, counts", [
+    (3, (2, 2, 2), (7, 16, 16, 17, 16, 17, 17, 7)),
+    (3, (2, 2), (7, 15, 15, 7)),    # the default block
+])
+def test_rows_of_a_class_share_its_reach_sets(k, sizes, counts):
+    """Per coalition, a class's family is each of its rows' minimal reach
+    sets; families differ as sets; class k's least row grows with k."""
+    rows = list(product(range(k), repeat=prod(sizes)))
+    for mask, count in enumerate(counts):
+        families, classes = _column(k, sizes, mask)
+        assert len(classes) == len(rows)
+        for row, c in zip(rows, classes):
+            assert set(map(frozenset, families[c])) == _row_reach(
+                sizes, mask, row)
+        assert len({frozenset(map(frozenset, f)) for f in families}) == len(
+            families) == count
+        firsts = [classes.index(c) for c in range(count)]
+        assert firsts == sorted(set(firsts))
+        assert set(classes) == set(range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +410,17 @@ def test_search_matches_oracle(case, negate):
 def test_tables_match_oracle_exhaustively():
     """Every depth-1 formula over p, the conjunctions of an E and an I
     over p, and their negations, searched through per-row tables against
-    the plain loop over enumerate_models, with every state varying and
-    with only the initial one."""
-    flat = list(enumerate_formulas(("p",), 2, 1))
+    the plain loop over enumerate_models: at two agents with every state
+    varying and with only the initial one, and at three agents with only
+    the initial one."""
     p = Atom("p")
-    pairs = [And(e, i) for e in flat if type(e) is Ability and e.body == p
-             for i in flat if type(i) is Inability and i.body == p]
     later = 0   # failures at a state after s1, in a frame after the first
-    for b in (Bounds(2, 2, 2, ("p",), True), Bounds(2, 2, 2, ("p",))):
+    for b in (Bounds(2, 2, 2, ("p",), True), Bounds(2, 2, 2, ("p",)),
+              Bounds(3, 2, 2, ("p",))):
+        flat = list(enumerate_formulas(("p",), b.max_agents, 1))
+        pairs = [And(e, i) for e in flat
+                 if type(e) is Ability and e.body == p
+                 for i in flat if type(i) is Inability and i.body == p]
         first = {(x.n_agents, x.n_states, x.sizes):
                  tuple(ch[0] for ch in x.choices) for x in blocks(b)}
         for f in flat + pairs:

@@ -7,16 +7,16 @@ from math import prod
 import pytest
 
 from clic import (
-    Atom, Bot, Bounds, BoundsInsufficientForFormula, ClicError, Coalition,
-    Counterexample, Fixture, FixtureMissing, Implies, Law,
-    NoCounterexampleWithinBounds, Not, Top, catalog, check_equivalence,
-    default_bounds, enumerate_formulas, find_countermodel, fixture_model,
+    Ability, And, Atom, Bot, Bounds, BoundsInsufficientForFormula, ClicError,
+    Coalition, Counterexample, Fixture, FixtureMissing, Implies, Inability,
+    Law, NoCounterexampleWithinBounds, Not, Or, Top, catalog,
+    check_equivalence, default_bounds, enumerate_formulas, find_countermodel, fixture_model,
     instantiations, max_agent, parse_formula, print_formula, replay_fixture,
     run_laws, satisfies,
 )
 from clic import laws as laws_module
 from clic.formula import MAX_AGENT
-from clic.laws import _groups, _substitute
+from clic.laws import _formula_pool, _groups, _instance_of, _substitute
 
 BY_ID = {law.id: law for law in catalog()}
 
@@ -487,6 +487,48 @@ def test_instances_are_substitutions_of_their_schematic_formula():
                 assert stream == list(instantiations(law, n, atoms)), law.id
 
 
+POOL = _formula_pool(("p", "q"))
+SIGMAS = [{}] + [{"p": x} for x in POOL] + [
+    {"p": x, "q": y} for x in POOL for y in POOL]
+
+
+def test_instance_check_is_equality_with_the_substitution():
+    """_instance_of(f, g, sigma) is g == _substitute(f, sigma), for every
+    pair of depth-1 formulas over p and q at two agents, g substituted
+    too, and every pool substitution for p, or for p and q."""
+    formulas = list(enumerate_formulas(("p", "q"), 2, 1))
+    hits = 0
+    for sigma in SIGMAS:
+        substituted = [_substitute(g, sigma) for g in formulas]
+        for f in formulas:
+            want = _substitute(f, sigma)
+            for g in substituted:
+                got = _instance_of(f, g, sigma)
+                assert got == (g == want), (f, g, sigma)
+                hits += got
+    assert hits > len(SIGMAS) * len(formulas)   # equal shapes, too
+
+
+P, Q, ONE, TWO = Atom("p"), Atom("q"), Coalition((1,)), Coalition((2,))
+
+
+@pytest.mark.parametrize("f, g, sigma, want", [
+    (Ability(ONE, P), Ability(ONE, Not(Q)), {"p": Not(Q)}, True),
+    (Ability(ONE, P), Ability(TWO, Not(Q)), {"p": Not(Q)}, False),
+    (And(P, Q), Or(Top(), Q), {"p": Top()}, False),
+    (And(P, Q), And(Top(), Q), {"p": Top()}, True),
+    (Ability(ONE, P), Inability(ONE, Q), {"p": Q}, False),
+    (Top(), Bot(), {"p": Q}, False),
+    (Bot(), Bot(), {}, True),
+    (And(P, Q), And(Q, P), {"p": Q}, False),    # q is not substituted
+    (And(P, Q), And(Q, Q), {"p": Q}, True),
+    (Not(Q), Not(P), {}, False),
+])
+def test_instance_check_on_pairs_that_differ_in_one_place(f, g, sigma, want):
+    assert _instance_of(f, g, sigma) is want
+    assert (g == _substitute(f, sigma)) is want
+
+
 def _per_instance(law, b):
     """A row as one search per instance, the pinned instance first: what
     run_laws reports, minus its elapsed time."""
@@ -568,6 +610,31 @@ def test_a_scheme_that_is_no_substitution_searches_each_instance(
     assert r.observed == "invalid" and print_formula(r.instance) == "q -> p"
     assert [print_formula(f) for f in searched] == [
         "p -> p", "p -> p", "q -> p"]
+
+
+def test_a_scheme_whose_parameter_picks_its_coalition_searches_each_instance(
+        monkeypatch):
+    """E[2] f | !E[2] f at an atom f, else E[] f | !E[] f: the schematic
+    formula exhausts, but an instance at a non-atom differs from its
+    substitution in the coalition alone, and is searched on its own over
+    the one-agent blocks as well."""
+    def scheme(n, cs, fs):
+        c = Coalition((2,) if type(fs[0]) is Atom else ())
+        return Or(Ability(c, fs[0]), Not(Ability(c, fs[0])))
+    law = Law("coalition-by-parameter", "custom",
+              "the parameter picks the coalition", "valid", scheme, 0, "one")
+    b = default_bounds()
+    expected = _per_instance(law, b)
+    searched = _count_searches(monkeypatch)
+    (r,) = run_laws(b, [law]).results
+    assert _row(r) == expected
+    assert r.observed == "valid" and r.instantiations == len(POOL)
+    assert [print_formula(f) for f in searched[:2]] == [
+        "E[2] p | !E[2] p", "E[2] p | !E[2] p"]
+    assert len(searched) == 1 + len(POOL)
+    # Settled by substitution, the row would count fewer models.
+    schematic = find_countermodel(searched[0], b).models_checked
+    assert r.models_checked > len(POOL) * schematic
 
 
 # Per row at Bounds(3, 3, 2, ("p", "q")): instantiations and models
