@@ -38,7 +38,7 @@ from math import prod
 from operator import and_, getitem, mod, or_, xor
 from typing import Iterator, Sequence
 
-from .errors import ClicError
+from .errors import SearchTooLarge
 from .formula import (
     Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
 )
@@ -50,10 +50,6 @@ from .model import Bounds, CoalitionModel, _layout, size_blocks
 # most frames a caller that walks them reaches (about 16 us each).
 MAX_REACH_WORK, MAX_VALUATIONS, MAX_FRAME_BITS = 1 << 21, 1 << 18, 14_000
 MAX_FRAME_WALK = 1 << 20
-
-
-class SearchTooLarge(ClicError):
-    """A search would reach a block past one of the bounds `_plan` checks."""
 
 
 @lru_cache(maxsize=64)

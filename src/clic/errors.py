@@ -7,7 +7,7 @@ __all__ = [
     "ModelFormatError", "MissingInit", "MissingActions", "UnknownState",
     "UnknownAction", "UnknownAgent", "PartialOutcome",
     "CoalitionOutOfRange", "BoundsTooSmall", "BoundsInsufficientForFormula",
-    "FixtureMissing",
+    "SearchTooLarge", "FixtureMissing",
 ]
 
 
@@ -91,6 +91,10 @@ class BoundsTooSmall(ClicError, ValueError):
 
 class BoundsInsufficientForFormula(ClicError):
     """No model within the bounds can evaluate the formula."""
+
+
+class SearchTooLarge(ClicError):
+    """A search would reach a block of models past one of its bounds."""
 
 
 class FixtureMissing(ClicError):

@@ -23,7 +23,7 @@ from .formula import (
     MAX_AGENT, Not, Or, Top, parse_formula,
 )
 from .model import Bounds, CoalitionModel, parse_model
-from .semantics import satisfies
+from .semantics import _require_state, extensions
 from .validity import (
     Counterexample, Verdict, default_bounds, find_countermodel,
 )
@@ -61,12 +61,12 @@ class Law:
     `side_condition` filters coalition tuples.
 
     `run_laws` settles a coalition tuple's instances by one search of
-    the scheme at the bounds' own atoms ((p,), (p, q), or (p, p | q) and
-    (p & q, p)) if it exhausts and each instance is that formula with p
-    and q substituted, as when the scheme uses its parameters only
-    through connectives.  Any other tuple (a literal atom, a branch on
-    the parameters, a countermodel, mode "none") is searched instance by
-    instance.  The counts are the same either way.
+    the scheme at the bounds' own atoms ((), (p,), (p, q), or (p, p | q)
+    and (p & q, p)) if it exhausts and each instance is that formula
+    with p and q substituted, as when the scheme uses its parameters
+    only through connectives.  Any other tuple (a literal atom, a branch
+    on the parameters, a countermodel) is searched instance by instance.
+    The counts are the same either way.
     """
 
     id: str
@@ -368,21 +368,9 @@ def _formula_pool(atoms: Sequence[str]) -> list[Formula]:
     return pool
 
 
-def _substitute(f: Formula, sigma: dict[str, Formula]) -> Formula:
-    """f with every atom that sigma names replaced, all at once."""
-    if isinstance(f, Atom):
-        return sigma.get(f.name, f)
-    if isinstance(f, Not):
-        return Not(_substitute(f.body, sigma))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_substitute(f.left, sigma), _substitute(f.right, sigma))
-    if isinstance(f, (Ability, Inability)):
-        return type(f)(f.coalition, _substitute(f.body, sigma))
-    return f
-
-
 def _instance_of(f: Formula, g: Formula, sigma: dict[str, Formula]) -> bool:
-    """g == _substitute(f, sigma), by one walk of both that builds no node."""
+    """Whether g is f with every atom that sigma names replaced by its
+    image, all at once: one walk of both that builds no node."""
     kind = type(f)
     if kind is Atom and f.name in sigma:
         h = sigma[f.name]
@@ -400,53 +388,52 @@ def _instance_of(f: Formula, g: Formula, sigma: dict[str, Formula]) -> bool:
     return f == g
 
 
-# Per formula mode: its parameter tuples as templates over the atoms p and
-# q, and how many of those two (the first ones) its templates name.  A
-# template is filled with every tuple of pool formulas for them, in order.
-_P, _Q = Atom("p"), Atom("q")
-_TEMPLATES = {"none": ((),), "one": ((_P,),), "two": ((_P, _Q),),
-              "entailment": ((_P, Or(_P, _Q)), (And(_P, _Q), _P))}
-_ARITY = {"none": 0, "one": 1, "two": 2, "entailment": 2}
+# Per formula mode: how many pool formulas it picks, and its parameter
+# templates, each a function of those picks.  A template is called on
+# every tuple of pool formulas, in order.
+_MODES = {"none": (0, (lambda: (),)), "one": (1, (lambda p: (p,),)),
+          "two": (2, (lambda p, q: (p, q),)),
+          "entailment": (2, (lambda p, q: (p, Or(p, q)),
+                             lambda p, q: (And(p, q), p)))}
 
 # Most instantiations of one law, counted before its side condition: a
 # law run builds each of them, and may search each.
 MAX_INSTANTIATIONS = 1 << 16
 
 
-def _fill(template: tuple[Formula, ...],
-          formulas: Sequence[Formula]) -> tuple[Formula, ...]:
-    sigma = dict(zip("pq", formulas))
-    return tuple(_substitute(t, sigma) for t in template)
-
-
 def _groups(law: Law, n_agents: int, atoms: Sequence[str]) -> Iterator[
-        tuple[tuple[Coalition, ...], tuple[Formula, ...], list]]:
+        tuple[tuple[Coalition, ...], tuple[Formula, ...] | None, list]]:
     """The instances of `instantiations` with the refusals it documents,
-    as (coalitions, template, params) per coalition tuple and template:
-    params pairs each tuple of pool formulas put for p and q with the
-    parameters it fills the template to."""
+    as (coalitions, schematic, params) per coalition tuple and template:
+    schematic is the template called on as many of the first atoms as
+    the mode picks (None if there are fewer), and params pairs the map of
+    those atoms to each pick with the template called on that pick."""
     if n_agents < 1:
         raise ValueError("need at least one agent")
     if n_agents > MAX_AGENT:    # no Coalition holds the agents past it
         raise ClicError(f"laws range over at most {MAX_AGENT} agents")
     pool = _formula_pool(atoms)
-    if law.formula_mode not in _TEMPLATES:
+    if law.formula_mode not in _MODES:
         raise ValueError(f"unknown formula mode {law.formula_mode!r}")
-    templates = _TEMPLATES[law.formula_mode]
-    picks = list(product(pool, repeat=_ARITY[law.formula_mode]))
+    arity, templates = _MODES[law.formula_mode]
+    picks = list(product(pool, repeat=arity))
     if (len(templates) * len(picks) << n_agents * law.coalition_arity
             > MAX_INSTANTIATIONS):
         raise ClicError(f"law {law.id!r} has over {MAX_INSTANTIATIONS} "
                         f"instantiations at {n_agents} agents")
-    filled = [(t, [(ps, _fill(t, ps)) for ps in picks]) for t in templates]
+    names = atoms[:arity]
+    sigmas = [dict(zip(names, ps)) for ps in picks]
+    filled = [(t(*map(Atom, names)) if len(names) == arity else None,
+               [(sigma, t(*ps)) for sigma, ps in zip(sigmas, picks)])
+              for t in templates]
     # Coalitions are built as the loop reaches them, not all 2**n up front.
     masks = range(1 << n_agents) if law.coalition_arity else ()
     for ms in product(masks, repeat=law.coalition_arity):
         cs = tuple(map(Coalition.from_bitmask, ms))
         if law.side_condition is not None and not law.side_condition(cs):
             continue
-        for t, params in filled:
-            yield cs, t, params
+        for schematic, params in filled:
+            yield cs, schematic, params
 
 
 def instantiations(law: Law, n_agents: int,
@@ -478,9 +465,11 @@ def evaluate_fixture(law: Law) -> list[tuple[str, bool, bool]]:
         raise FixtureMissing(f"law {law.id!r} has no pinned fixture")
     fx = law.fixture
     m = fixture_model(fx.model_name)
+    _require_state(m, fx.state)
     pinned = ((fx.instance, law.expected == "satisfiable"), *fx.claims)
-    return [(text, satisfies(m, fx.state, parse_formula(text)), want)
-            for text, want in pinned]
+    found = extensions(m, [parse_formula(text) for text, _ in pinned])
+    return [(text, fx.state in ext, want)
+            for (text, want), ext in zip(pinned, found)]
 
 
 def replay_fixture(law: Law) -> bool:
@@ -553,10 +542,10 @@ def _verdict(law: Law, f: Formula, b: Bounds) -> Verdict:
 
 
 def _settle(law: Law, b: Bounds, cs: tuple[Coalition, ...],
-            template: tuple[Formula, ...], params: list) -> int | None:
-    """Models each instance of the group checks, if its schematic formula
-    (the template filled with the bounds' first atoms) exhausts and each
-    instance is that formula with those atoms substituted; else None.
+            schematic: tuple[Formula, ...] | None, params: list) -> int | None:
+    """Models each instance of the group checks, if the scheme at its
+    schematic parameters exhausts and each instance is that formula with
+    the group's substitution applied; else None.
 
     A block varies every valuation of the bounds' atoms over each frame,
     so a countermodel of an instance, its valuation replaced by the
@@ -564,20 +553,16 @@ def _settle(law: Law, b: Bounds, cs: tuple[Coalition, ...],
     formula in the same block.  The pool formulas name no coalition, so
     an instance also has the schematic formula's agents, coalitions and
     modal depth, and its search exhausts the same blocks."""
-    arity = _ARITY[law.formula_mode]
-    if not arity or len(b.props) < arity:
+    if schematic is None:
         return None
-    names = b.props[:arity]
-    schematic = law.scheme(b.max_agents, cs,
-                           _fill(template, [Atom(a) for a in names]))
+    f = law.scheme(b.max_agents, cs, schematic)
     try:
-        verdict = _verdict(law, schematic, b)
+        verdict = _verdict(law, f, b)
     except ClicError:   # the instances' own searches raise or skip
         return None
     if isinstance(verdict, Counterexample) or not all(
-            _instance_of(schematic, law.scheme(b.max_agents, cs, fs),
-                         dict(zip(names, ps)))
-            for ps, fs in params):
+            _instance_of(f, law.scheme(b.max_agents, cs, fs), sigma)
+            for sigma, fs in params):
         return None
     return verdict.models_checked
 
@@ -598,8 +583,8 @@ def _searches(law: Law, b: Bounds, pinned: list[Formula]
             return 1, 0, None, f
         return 1, verdict.models_checked, verdict, f
     yield from map(search, pinned)
-    for cs, template, params in _groups(law, b.max_agents, b.props):
-        models = _settle(law, b, cs, template, params)
+    for cs, schematic, params in _groups(law, b.max_agents, b.props):
+        models = _settle(law, b, cs, schematic, params)
         if models is None:
             for _, fs in params:
                 yield search(law.scheme(b.max_agents, cs, fs))

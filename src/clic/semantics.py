@@ -168,10 +168,14 @@ def extension(m: CoalitionModel, f: Formula) -> frozenset[str]:
     return extensions(m, [f])[0]
 
 
-def satisfies(m: CoalitionModel, state: str, f: Formula) -> bool:
-    """Whether f holds at the given state of m."""
+def _require_state(m: CoalitionModel, state: str) -> None:
     if state not in m.states:
         raise UnknownState(f"state {state!r} not declared")
+
+
+def satisfies(m: CoalitionModel, state: str, f: Formula) -> bool:
+    """Whether f holds at the given state of m."""
+    _require_state(m, state)
     return state in extension(m, f)
 
 
@@ -182,8 +186,7 @@ def check_ability(m: CoalitionModel, state: str, c: Coalition,
     The witness is the lexicographically first joint action of c (in
     `profiles` order) that secures the goal against every completion.
     """
-    if state not in m.states:
-        raise UnknownState(f"state {state!r} not declared")
+    _require_state(m, state)
     body = extension(m, goal)
     w = _witnesses(_Game(m, c), Ability, body, (state,))
     return state in w, w.get(state)
@@ -198,8 +201,7 @@ def check_inability(m: CoalitionModel, state: str, c: Coalition,
     differ from action to action; that dependence is the whole content
     of the operator.
     """
-    if state not in m.states:
-        raise UnknownState(f"state {state!r} not declared")
+    _require_state(m, state)
     body = extension(m, goal)
     w = _witnesses(_Game(m, c), Inability, body, (state,))
     return state in w, w.get(state)
@@ -209,8 +211,7 @@ def verify_ability_witness(m: CoalitionModel, state: str, c: Coalition,
                            goal: Formula, w: AbilityWitness) -> bool:
     """Replay an ability witness against every completion.  A witness
     that is not a joint action of c, declared in m, does not hold."""
-    if state not in m.states:
-        raise UnknownState(f"state {state!r} not declared")
+    _require_state(m, state)
     game = _Game(m, c)
     if w.action not in game.own:
         return False
@@ -223,8 +224,7 @@ def verify_inability_witness(m: CoalitionModel, state: str, c: Coalition,
                              goal: Formula, w: InabilityWitness) -> bool:
     """Replay an inability witness: full domain, every counter works.  A
     counter that is not a completion, declared in m, does not work."""
-    if state not in m.states:
-        raise UnknownState(f"state {state!r} not declared")
+    _require_state(m, state)
     game = _Game(m, c)
     if set(w.counters) != set(game.own):
         return False

@@ -13,7 +13,8 @@ ALL = [
     "ClicError", "ParseError", "DuplicateAgentInCoalition",
     "ModelFormatError", "MissingInit", "MissingActions", "UnknownState",
     "UnknownAction", "UnknownAgent", "PartialOutcome", "CoalitionOutOfRange",
-    "BoundsTooSmall", "BoundsInsufficientForFormula", "FixtureMissing",
+    "BoundsTooSmall", "BoundsInsufficientForFormula", "SearchTooLarge",
+    "FixtureMissing",
     "Formula", "Atom", "Top", "Bot", "Not", "And", "Or", "Implies", "Iff",
     "Ability", "Inability", "Coalition", "parse_formula", "print_formula",
     "ast_dump", "max_agent", "modal_depth", "propositions_of",

@@ -1,5 +1,7 @@
 """Catalog of structural laws and its runner."""
 
+import re
+from dataclasses import replace
 from hashlib import sha256
 from itertools import chain, product
 from math import prod
@@ -9,14 +11,14 @@ import pytest
 from clic import (
     Ability, And, Atom, Bot, Bounds, BoundsInsufficientForFormula, ClicError,
     Coalition, Counterexample, Fixture, FixtureMissing, Implies, Inability,
-    Law, NoCounterexampleWithinBounds, Not, Or, Top, catalog,
+    Law, NoCounterexampleWithinBounds, Not, Or, Top, UnknownState, catalog,
     check_equivalence, default_bounds, enumerate_formulas, find_countermodel, fixture_model,
     instantiations, max_agent, parse_formula, print_formula, replay_fixture,
     run_laws, satisfies,
 )
 from clic import laws as laws_module
 from clic.formula import MAX_AGENT
-from clic.laws import _formula_pool, _groups, _instance_of, _substitute
+from clic.laws import _formula_pool, _groups, _instance_of, evaluate_fixture
 
 BY_ID = {law.id: law for law in catalog()}
 
@@ -223,6 +225,24 @@ def test_every_fixture_instance_belongs_to_its_scheme():
 def test_replay_fixture_needs_a_fixture():
     with pytest.raises(FixtureMissing):
         replay_fixture(BY_ID["ability-distribution"])
+
+
+def test_fixture_is_evaluated_by_one_extensions_call(monkeypatch):
+    """One reference call per fixture model, as a search's replay makes;
+    a state the model does not declare is an error, as in `satisfies`."""
+    calls = []
+    real = laws_module.extensions
+    monkeypatch.setattr(laws_module, "extensions",
+                        lambda m, fs: calls.append(fs) or real(m, fs))
+    law = BY_ID["disjunction-downward"]
+    got = evaluate_fixture(law)
+    assert len(calls) == 1
+    assert [text for text, _, _ in got] == [
+        law.fixture.instance, *(text for text, _ in law.fixture.claims)]
+    assert all(value == want for _, value, want in got)
+    with pytest.raises(UnknownState):
+        evaluate_fixture(replace(law, fixture=replace(law.fixture,
+                                                      state="nope")))
 
 
 def test_fixture_model_unknown_name():
@@ -466,22 +486,29 @@ def test_catalog_with_every_state_varying():
                 for f in instantiations(law, b.max_agents, b.props))
 
 
+def substituted(f, sigma):
+    """f with every atom that sigma names replaced, all at once: by text,
+    so it shares no walk with clic.laws."""
+    def put(m):
+        a = m.group()
+        return f"({print_formula(sigma[a])})" if a in sigma else a
+    return parse_formula(re.sub(r"[a-z][A-Za-z0-9_]*", put, print_formula(f)))
+
+
 def test_instances_are_substitutions_of_their_schematic_formula():
     """The proof obligation of settling a group by one search: each
-    instance is the scheme at p and q with the pool formulas put for
-    them, so every catalog scheme uses its parameters by connectives."""
+    instance is the scheme at the schematic parameters with the group's
+    substitution applied, so every catalog scheme uses its parameters by
+    connectives."""
     for law in catalog():
-        if law.formula_mode == "none":
-            continue
         for atoms in (("p", "q"), ("p", "q", "r")):
             for n in range(1, 4):
                 stream = []
-                for cs, template, params in _groups(law, n, atoms):
-                    schematic = law.scheme(n, cs, template)
-                    for ps, fs in params:
+                for cs, schematic, params in _groups(law, n, atoms):
+                    f0 = law.scheme(n, cs, schematic)
+                    for sigma, fs in params:
                         f = law.scheme(n, cs, fs)
-                        assert f == _substitute(
-                            schematic, dict(zip("pq", ps))), \
+                        assert f == substituted(f0, sigma), \
                             (law.id, n, atoms, print_formula(f))
                         stream.append(f)
                 assert stream == list(instantiations(law, n, atoms)), law.id
@@ -493,16 +520,16 @@ SIGMAS = [{}] + [{"p": x} for x in POOL] + [
 
 
 def test_instance_check_is_equality_with_the_substitution():
-    """_instance_of(f, g, sigma) is g == _substitute(f, sigma), for every
+    """_instance_of(f, g, sigma) is g == substituted(f, sigma), for every
     pair of depth-1 formulas over p and q at two agents, g substituted
     too, and every pool substitution for p, or for p and q."""
     formulas = list(enumerate_formulas(("p", "q"), 2, 1))
     hits = 0
     for sigma in SIGMAS:
-        substituted = [_substitute(g, sigma) for g in formulas]
+        images = [substituted(g, sigma) for g in formulas]
         for f in formulas:
-            want = _substitute(f, sigma)
-            for g in substituted:
+            want = substituted(f, sigma)
+            for g in images:
                 got = _instance_of(f, g, sigma)
                 assert got == (g == want), (f, g, sigma)
                 hits += got
@@ -526,7 +553,7 @@ P, Q, ONE, TWO = Atom("p"), Atom("q"), Coalition((1,)), Coalition((2,))
 ])
 def test_instance_check_on_pairs_that_differ_in_one_place(f, g, sigma, want):
     assert _instance_of(f, g, sigma) is want
-    assert (g == _substitute(f, sigma)) is want
+    assert (g == substituted(f, sigma)) is want
 
 
 def _per_instance(law, b):

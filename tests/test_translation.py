@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from clic import (
     Ability, And, Atom, Bounds, BoundsInsufficientForFormula, BoundsTooSmall,
-    Coalition, Iff, Implies, Inability, Not, Or, Top,
+    Coalition, Iff, Implies, Inability, Not, Or, SearchTooLarge, Top,
     check_truth_preservation, is_cl_fragment, modal_depth, parse_formula,
     print_formula, translate,
 )
@@ -153,3 +153,9 @@ def test_preservation_rejects_bad_grids():
         check_truth_preservation(Bounds(1, 1, 1), -1)
     with pytest.raises(BoundsInsufficientForFormula):
         check_truth_preservation(Bounds(1, 2, 2, ("p",)), 2)
+
+
+def test_preservation_refuses_a_grid_too_large_to_search():
+    """The error its docstring names is one `clic` exports."""
+    with pytest.raises(SearchTooLarge):
+        check_truth_preservation(Bounds(10_000, 1, 1, ("p",)), 1)
