@@ -62,11 +62,13 @@ class Law:
 
     `run_laws` settles a coalition tuple's instances by one search of
     the scheme at the bounds' own atoms ((), (p,), (p, q), or (p, p | q)
-    and (p & q, p)) if it exhausts and each instance is that formula
-    with p and q substituted, as when the scheme uses its parameters
-    only through connectives.  Any other tuple (a literal atom, a branch
-    on the parameters, a countermodel) is searched instance by instance.
-    The counts are the same either way.
+    and (p & q, p)) if it finds no countermodel and each instance is
+    that formula with p and q substituted, as when the scheme uses its
+    parameters only through connectives.  If the bounds cannot search
+    it, a valid row raises and another counts the instances as skipped.
+    Any other tuple (a literal atom, a branch on the parameters, a
+    countermodel) is searched instance by instance.  The counts are the
+    same either way.
     """
 
     id: str
@@ -535,61 +537,45 @@ _OBSERVED = {"valid": ("invalid", "valid"),
              "satisfiable": ("satisfiable", "unsatisfiable")}
 
 
-def _verdict(law: Law, f: Formula, b: Bounds) -> Verdict:
-    """The row's search on f: a model of f is a countermodel of !f."""
-    return find_countermodel(Not(f) if law.expected == "satisfiable" else f,
-                             b)
-
-
-def _settle(law: Law, b: Bounds, cs: tuple[Coalition, ...],
-            schematic: tuple[Formula, ...] | None, params: list) -> int | None:
-    """Models each instance of the group checks, if the scheme at its
-    schematic parameters exhausts and each instance is that formula with
-    the group's substitution applied; else None.
+def _searches(law: Law, b: Bounds, pinned: list[Formula]
+              ) -> Iterator[tuple[int, int, Verdict | None, Formula | None]]:
+    """(instances, models checked, verdict, instance) per search of a row:
+    the pinned instance, then per group its schematic formula's, standing
+    for all instances if it finds no countermodel and each is that
+    formula with the group's substitution applied, else each instance's.
+    A valid row must search every instance: one the bounds cannot search
+    raises rather than pass unchecked; another row counts it and skips
+    it.  A satisfiability row searches !f, whose countermodels model f.
 
     A block varies every valuation of the bounds' atoms over each frame,
     so a countermodel of an instance, its valuation replaced by the
     extensions of the substituted formulas, is one of the schematic
     formula in the same block.  The pool formulas name no coalition, so
     an instance also has the schematic formula's agents, coalitions and
-    modal depth, and its search exhausts the same blocks."""
-    if schematic is None:
-        return None
-    f = law.scheme(b.max_agents, cs, schematic)
-    try:
-        verdict = _verdict(law, f, b)
-    except ClicError:   # the instances' own searches raise or skip
-        return None
-    if isinstance(verdict, Counterexample) or not all(
-            _instance_of(f, law.scheme(b.max_agents, cs, fs), sigma)
-            for sigma, fs in params):
-        return None
-    return verdict.models_checked
-
-
-def _searches(law: Law, b: Bounds, pinned: list[Formula]
-              ) -> Iterator[tuple[int, int, Verdict | None, Formula | None]]:
-    """(instances, models checked, verdict, instance) per search of a row:
-    the pinned instance, then per group its settled total, or else each
-    instance's own search.  A valid row must search every instance: one
-    the bounds cannot search raises rather than pass unchecked; another
-    row counts it and skips it."""
+    modal depth, and its search exhausts, or is refused, on the same
+    blocks."""
     def search(f: Formula):
         try:
-            verdict = _verdict(law, f, b)
+            verdict = find_countermodel(
+                Not(f) if law.expected == "satisfiable" else f, b)
         except BoundsInsufficientForFormula:
             if law.expected == "valid":
                 raise
             return 1, 0, None, f
         return 1, verdict.models_checked, verdict, f
     yield from map(search, pinned)
-    for cs, schematic, params in _groups(law, b.max_agents, b.props):
-        models = _settle(law, b, cs, schematic, params)
-        if models is None:
-            for _, fs in params:
-                yield search(law.scheme(b.max_agents, cs, fs))
-        else:
-            yield len(params), len(params) * models, None, None
+    n = b.max_agents
+    for cs, schematic, params in _groups(law, n, b.props):
+        if schematic is not None:
+            f = law.scheme(n, cs, schematic)
+            _, models, verdict, _ = search(f)
+            if not isinstance(verdict, Counterexample) and all(
+                    _instance_of(f, law.scheme(n, cs, fs), sigma)
+                    for sigma, fs in params):
+                yield len(params), len(params) * models, None, None
+                continue
+        for _, fs in params:
+            yield search(law.scheme(n, cs, fs))
 
 
 def _run_law(law: Law, b: Bounds) -> LawResult:

@@ -11,7 +11,6 @@ strongest claim made anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 
 from ._eval import blocks, compile_formula, first_failure
 from .errors import BoundsInsufficientForFormula
@@ -144,9 +143,10 @@ def minimal_countermodel(f: Formula, b: Bounds) -> Verdict:
     """
     need = _require_searchable(f, b)[0]
     visited = 0
-    for size in product(range(1, b.max_states + 1),
-                        range(1, b.max_actions_per_agent + 1),
-                        range(max(need, 1), b.max_agents + 1)):
+    # Built one at a time: `product` would store each whole range first.
+    for size in ((s, a, n) for s in range(1, b.max_states + 1)
+                 for a in range(1, b.max_actions_per_agent + 1)
+                 for n in range(max(need, 1), b.max_agents + 1)):
         n_states, n_actions, n_agents = size
         verdict = find_countermodel(f, Bounds(
             n_agents, n_states, n_actions, b.props, b.vary_all_states))

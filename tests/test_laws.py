@@ -11,10 +11,11 @@ import pytest
 from clic import (
     Ability, And, Atom, Bot, Bounds, BoundsInsufficientForFormula, ClicError,
     Coalition, Counterexample, Fixture, FixtureMissing, Implies, Inability,
-    Law, NoCounterexampleWithinBounds, Not, Or, Top, UnknownState, catalog,
-    check_equivalence, default_bounds, enumerate_formulas, find_countermodel, fixture_model,
-    instantiations, max_agent, parse_formula, print_formula, replay_fixture,
-    run_laws, satisfies,
+    Law, NoCounterexampleWithinBounds, Not, Or, SearchTooLarge, Top,
+    UnknownState, catalog, check_equivalence, default_bounds,
+    enumerate_formulas, find_countermodel, fixture_model, instantiations,
+    max_agent, parse_formula, print_formula, replay_fixture, run_laws,
+    satisfies,
 )
 from clic import laws as laws_module
 from clic.formula import MAX_AGENT
@@ -662,6 +663,32 @@ def test_a_scheme_whose_parameter_picks_its_coalition_searches_each_instance(
     # Settled by substitution, the row would count fewer models.
     schematic = find_countermodel(searched[0], b).models_checked
     assert r.models_checked > len(POOL) * schematic
+
+
+def test_a_tuple_the_bounds_cannot_search_is_skipped_after_one_search(
+        monkeypatch):
+    """A depth-2 scheme needs every state to vary: each coalition's
+    schematic search is refused, and so would each instance's be, so a
+    row that is not valid counts the tuple's instances as skipped."""
+    law = Law("nested-ability", "custom", "a depth-2 scheme", "invalid",
+              lambda n, cs, fs: Ability(cs[0], Ability(cs[0], fs[0])),
+              1, "one")
+    b = default_bounds()
+    expected = _per_instance(law, b)
+    searched = _count_searches(monkeypatch)
+    (r,) = run_laws(b, [law]).results
+    assert _row(r) == expected
+    assert (r.observed, r.instantiations, r.models_checked) == (
+        "valid", 4 * len(POOL), 0)
+    assert len(searched) == 4     # one per coalition over two agents
+
+
+def test_a_search_too_large_is_refused_at_the_first_search(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    with pytest.raises(SearchTooLarge,
+                       match="at the block of agents 4, states 3$"):
+        run_laws(Bounds(4, 3, 2, ("p", "q")))
+    assert len(searched) == 1
 
 
 # Per row at Bounds(3, 3, 2, ("p", "q")): instantiations and models

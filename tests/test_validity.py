@@ -1,6 +1,7 @@
 """Bounded countermodel search."""
 
 import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -154,6 +155,24 @@ def test_minimal_countermodel_skips_undersized_tuples():
     assert v.size == (2, 2, 2)
     with pytest.raises(BoundsInsufficientForFormula):
         minimal_countermodel(parse_formula("E[3] p"), default_bounds(("p",)))
+
+
+@pytest.mark.parametrize("b", [
+    Bounds(10**12, 1, 1, ("p",)),
+    Bounds(1, 10**12, 1, ("p",)),
+    Bounds(1, 1, 10**12, ("p",)),
+], ids=["agents", "states", "actions"])
+def test_minimal_countermodel_builds_sizes_as_it_reaches_them(b):
+    # Each size tuple is built when reached: a bound of 10**12 costs
+    # nothing until the search gets there.
+    tracemalloc.start()
+    try:
+        v = minimal_countermodel(parse_formula("p"), b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.size == (1, 1, 1)
+    assert peak < 1 << 20
 
 
 def test_find_countermodel_state_is_first_failing():
