@@ -287,16 +287,16 @@ def first_failure(compiled, block: ModelContext
         if not miss:
             return block.n_models, None, None
         v = (miss & -miss).bit_length() - 1
-        # Per state, its first choice failing at v.  The earliest failing
-        # frame is 0 if one is 0, else the highest state's choice alone.
-        firsts = [next((j for j, x in enumerate(xs) if not x >> v & 1),
-                       None) for xs in table]
-        k = firsts.index(0) if 0 in firsts else max(
-            s for s, j in enumerate(firsts) if j)
-        # Choice j of state k, times the frames of the later states (j > 0
-        # at state 0 only unless all vary); j = 0 skips a power.
-        j = firsts[k]
-        number = j and j * (block.n_frames // block.rows ** (k + 1))
+        # The earliest failing frame moves one state s off choice 0, to its
+        # first choice j failing at v: frame j times the frames of the
+        # later states.  Ties (frame 0) go to the lowest state.
+        moves, later = [], block.n_frames
+        for s, (ch, xs) in enumerate(zip(choices, table)):
+            later //= len(ch)
+            j = next((j for j, x in enumerate(xs) if not x >> v & 1), None)
+            if j is not None:
+                moves.append((j * later, s, j))
+        number, k, j = min(moves)
         fr = tuple(ch[j if s == k else 0] for s, ch in enumerate(choices))
     m = block.model(v, fr)
     return v * block.n_frames + number + 1, m, m.states[k]

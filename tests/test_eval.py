@@ -186,6 +186,34 @@ def test_search_stops_at_the_block_past_the_reach_bound():
         check_truth_preservation(b, 0)
 
 
+@pytest.mark.parametrize("bound, value, b, walks, at_edge, why", [
+    (None, None, Bounds(1, 19, 1, ("p",)), False,
+     lambda plan: 1 << plan[-1][1] == 1 << 18, f"over {1 << 18} valuations"),
+    ("MAX_REACH_WORK", 65, Bounds(1, 3, 1, ("p",)), False,
+     lambda plan: plan[-1][3] == 65, "its blocks take over 65 steps to build"),
+    ("MAX_FRAME_BITS", 1, Bounds(1, 3, 1, ("p",)), False,
+     lambda plan: plan[-1][5] == 1 << 1, "over 2**1 frames"),
+    ("MAX_FRAME_WALK", 5, Bounds(1, 3, 1, ("p",), True), True,
+     lambda plan: sum(entry[5] for entry in plan) == 5,
+     "it walks over 5 frames"),
+], ids=["valuations", "steps", "frame-bits", "walk"])
+def test_plan_bound_edges(monkeypatch, request, bound, value, b, walks,
+                          at_edge, why):
+    """Each bound lets the block exactly at it through and refuses the
+    next: 2**18 valuations at 18 states; 65 steps, 2 frames (2**1) and 5
+    walked frames (1 + 4) by the block of 2 states, whose successor of
+    3 states is past each of them."""
+    _plan.cache_clear()
+    request.addfinalizer(_plan.cache_clear)
+    if bound:
+        monkeypatch.setattr(f"clic._eval.{bound}", value)
+    plan, stop = _plan(b, 1, range(2), walks)
+    assert (plan[-1][1], len(plan)) == (b.max_states - 1,) * 2
+    assert at_edge(plan)
+    assert stop == (f"search too large: {why}, at the block of agents 1, "
+                    f"states {b.max_states}")
+
+
 @pytest.mark.parametrize("n", [17, 30, 64, 10_000])
 @pytest.mark.parametrize("depth", [0, 1])
 def test_grid_is_sized_before_it_builds_anything(n, depth):
@@ -395,6 +423,31 @@ def test_search_matches_oracle(case, negate):
     b, f = case
     if negate:
         f = Not(f)
+    verdict, models, states = _search(f, b)
+    hit, want_models, want_states = oracle(f, b)
+    assert (models, states) == (want_models, want_states)
+    assert isinstance(verdict, Counterexample) == (hit is not None)
+    if hit is not None:
+        assert (verdict.model, verdict.state) == hit
+        assert verdict.models_checked == models
+    else:
+        assert (verdict.models_checked, verdict.states_checked) == (
+            models, states)
+
+
+@pytest.mark.parametrize("b", [
+    Bounds(1, 3, 2, ("p",), True), Bounds(2, 2, 2, ("p",), True)])
+@pytest.mark.parametrize("text", [
+    "p -> E[1] E[1] p", "E[1] E[1] p -> p", "!p -> I[1] E[1] p"])
+@pytest.mark.parametrize("negate", [False, True])
+def test_frame_walks_match_oracle(b, text, negate):
+    """Depth-2 formulas, whose first failures a frame walk finds: some
+    hold at one state of a model and fail at another, so a walk that
+    missed a failure at some states would report a false exhaustion."""
+    f = parse_formula(text)
+    if negate:
+        f = Not(f)
+    assert callable(compile_formula(f)(list(blocks(b))[-1]))
     verdict, models, states = _search(f, b)
     hit, want_models, want_states = oracle(f, b)
     assert (models, states) == (want_models, want_states)
