@@ -115,18 +115,19 @@ def extensions(m: CoalitionModel, formulas: list[Formula]
                ) -> list[frozenset[str]]:
     """The set of states of m at which each of formulas holds, in order.
 
-    One memo, for this call only, evaluates each distinct subformula once
-    (each node stores its hash, so a lookup is O(1)), and each
-    coalition's joint actions are drawn once, in one `_Game` that every
-    modal node over it shares.  An AST too deep for the stack raises
-    ClicError (`guard_nesting`).
+    One memo, for this call only, evaluates each subformula node once:
+    it is keyed by node identity (`formulas` keeps every node alive), so
+    a lookup hashes an int, and equal but distinct subterms are evaluated
+    separately.  Each coalition's joint actions are drawn once, in one
+    `_Game` that every modal node over it shares.  An AST too deep for
+    the stack raises ClicError (`guard_nesting`).
     """
     all_states = frozenset(m.states)
-    memo: dict[Formula, frozenset[str]] = {}
+    memo: dict[int, frozenset[str]] = {}
     games: dict[int, _Game] = {}
 
     def ext(g: Formula) -> frozenset[str]:
-        got = memo.get(g)
+        got = memo.get(id(g))
         if got is not None:
             return got
         kind = type(g)
@@ -155,7 +156,7 @@ def extensions(m: CoalitionModel, formulas: list[Formula]
             result = frozenset(_witnesses(game, kind, body, m.states))
         else:
             raise TypeError(f"not a formula: {g!r}")
-        memo[g] = result
+        memo[id(g)] = result
         return result
 
     found = [ext(f) for f in formulas]

@@ -17,7 +17,7 @@ from .formula import (
     Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
     enumerate_formulas, guard_nesting, walk,
 )
-from .model import Bounds, CoalitionModel
+from .model import Bounds, CoalitionModel, _layout
 from .semantics import extensions
 from .validity import _require_searchable
 
@@ -85,8 +85,10 @@ def check_truth_preservation(b: Bounds,
     engine already evaluates I[C] as the complement of E[C].  The grid
     runs frame by frame: `block.at` reads a value's lane vectors in the
     frame (a per-row table by each state's row choice), the engine
-    rebuilds the model of valuation v on the frame, and bit v is
-    compared with it.  Violations are listed in that order: by size
+    rebuilds the model of valuation v on the frame, and the states
+    whose bit v is set are compared with the reference's extension:
+    one comparison per formula and model, and a walk of the states only
+    where they differ.  Violations are listed in that order: by size
     block, frame, valuation, formula and state.  The grid walks every
     model, so `_eval._plan` charges it for every coalition and frame,
     and sizes it before it builds a formula: past the plan's bounds it
@@ -111,15 +113,23 @@ def check_truth_preservation(b: Bounds,
                  if need <= block.n_agents]
         fs = [f for f, _ in bound]
         total += len(bound) * block.n_models * block.n_states
+        states, by_lanes = _layout(block.n_states, block.sizes)[0], {}
         for fr in block.frames():
             row = [block.at(x, fr) for _, x in bound]
+            for want in row:    # each value's states per valuation, once
+                if want not in by_lanes:
+                    by_lanes[want] = [frozenset(
+                        s for s, lane in zip(states, want) if lane >> v & 1)
+                        for v in range(block.n_valuations)]
+            row = [by_lanes[want] for want in row]
             for v in range(block.n_valuations):
                 m = block.model(v, fr)
-                # One reference call per model shares common subformulas.
-                for f, want, ref in zip(fs, row, extensions(m, fs)):
-                    for s, x in zip(m.states, want):
-                        if (s in ref) is not bool(x >> v & 1):
-                            violations.append((f, m, s))
+                # One reference call per model shares common subformulas;
+                # the states are walked only where the two sides differ.
+                for f, sets, ref in zip(fs, row, extensions(m, fs)):
+                    if sets[v] != ref:
+                        violations.extend((f, m, s) for s in states
+                                          if (s in ref) is not (s in sets[v]))
     return PreservationReport(total, len(jobs),
                               sum(block.n_models for block in space),
                               tuple(violations))

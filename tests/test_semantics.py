@@ -15,6 +15,7 @@ from clic import (
     verify_ability_witness, verify_inability_witness,
 )
 from clic import semantics
+from clic.formula import walk
 
 M1 = parse_model("""\
 agents 2
@@ -121,6 +122,32 @@ def test_extensions_agree_with_extension_one_by_one(name):
     m = fixture_model(name)
     fs = list(enumerate_formulas(("p", "q"), m.n_agents, 1))
     assert extensions(m, fs) == [extension(m, f) for f in fs]
+
+
+def test_extensions_evaluate_each_node_object_once(monkeypatch):
+    """The memo is keyed by node identity: formulas that share subterm
+    objects decide each modal node object once, and an equal but
+    distinct copy is decided again, to the same set."""
+    from test_formula import rebuild
+
+    decided = []
+    real = semantics._witnesses
+
+    def spy(game, kind, body, states):
+        decided.append(kind)
+        return real(game, kind, body, states)
+
+    monkeypatch.setattr(semantics, "_witnesses", spy)
+    fs = list(enumerate_formulas(("p",), 2, 2))
+    modal = [g for f in fs for g, _ in walk(f)
+             if type(g) in (Ability, Inability)]
+    objects = len({id(g) for g in modal})
+    got = extensions(M1, fs)
+    assert len(decided) == objects < len(modal)
+    decided.clear()
+    # The copies share no node, so each of their modal nodes is decided.
+    assert extensions(M1, fs + [rebuild(f) for f in fs]) == got + got
+    assert len(decided) == objects + len(modal)
 
 
 def test_state_and_coalition_validation():

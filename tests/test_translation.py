@@ -129,14 +129,10 @@ def test_preservation_counts_skip_small_models():
 def test_preservation_reports_each_disagreement(monkeypatch):
     from collections import Counter
 
-    import clic.translation
     from clic import enumerate_formulas, enumerate_models, print_model
     from clic import satisfies
 
-    # A faulty translation that also demands p disagrees exactly where
-    # f holds and p does not, which differs from valuation to valuation.
-    monkeypatch.setattr(clic.translation, "translate",
-                        lambda f: And(f, Atom("p")))
+    faulty_translation(monkeypatch)
     b = Bounds(1, 2, 2, ("p",), True)
     rep = check_truth_preservation(b, 1)
     fs = list(enumerate_formulas(("p",), 1, 1))
@@ -146,6 +142,74 @@ def test_preservation_reports_each_disagreement(monkeypatch):
     assert want
     assert Counter((f, print_model(m), s)
                    for f, m, s in rep.violations) == want
+
+
+def faulty_translation(monkeypatch):
+    """A translation that also demands p: it disagrees exactly where the
+    formula holds and p does not, which differs from valuation to
+    valuation."""
+    import clic.translation
+    monkeypatch.setattr(clic.translation, "translate",
+                        lambda f: And(f, Atom("p")))
+
+
+@pytest.mark.parametrize("b, depth", [
+    (Bounds(1, 2, 2, ("p",), True), 2),
+    (Bounds(2, 2, 1, ("p",), True), 1),
+])
+def test_preservation_lists_violations_in_grid_order(monkeypatch, b, depth):
+    """Violations come by size block, frame, valuation, formula and
+    state.  `enumerate_models` lists a block valuation by valuation, so
+    its frame-major order is read off by index."""
+    from itertools import groupby
+
+    from clic import (
+        enumerate_formulas, enumerate_models, extensions, max_agent,
+        print_model,
+    )
+
+    faulty_translation(monkeypatch)
+    rep = check_truth_preservation(b, depth)
+    fs = list(enumerate_formulas(b.props, b.max_agents, depth))
+    want = []
+    for _, block in groupby(enumerate_models(b),
+                            lambda m: (m.n_agents, m.states, m.actions)):
+        block = list(block)
+        n_valuations = 1 << len(block[0].states) * len(b.props)
+        n_frames = len(block) // n_valuations
+        for fr in range(n_frames):
+            for v in range(n_valuations):
+                m = block[v * n_frames + fr]
+                fit = [f for f in fs if max_agent(f) <= m.n_agents]
+                for f, ext in zip(fit, extensions(m, fit)):
+                    want += [(f, print_model(m), s) for s in m.states
+                             if s in ext and s not in m.valuation["p"]]
+    assert want
+    assert [(f, print_model(m), s) for f, m, s in rep.violations] == want
+
+
+def test_preservation_reports_a_faulty_reference_both_ways(monkeypatch):
+    """A reference extension with a state too many and one with a state
+    too few, on one model, are each reported once."""
+    import clic.translation
+    from clic import Bot, enumerate_models, extensions, print_model
+
+    b = Bounds(1, 2, 2, ("p",), True)
+    target = print_model(next(m for m in enumerate_models(b)
+                              if len(m.states) == 2))
+
+    def faulty(m, fs):
+        got = extensions(m, fs)
+        if print_model(m) != target:
+            return got
+        return [ext | {"s1"} if f == Bot() else
+                ext - {"s2"} if f == Top() else ext
+                for f, ext in zip(fs, got)]
+
+    monkeypatch.setattr(clic.translation, "extensions", faulty)
+    rep = check_truth_preservation(b, 1)
+    assert [(f, print_model(m), s) for f, m, s in rep.violations] == [
+        (Top(), target, "s2"), (Bot(), target, "s1")]
 
 
 def test_preservation_rejects_bad_grids():
@@ -159,3 +223,16 @@ def test_preservation_refuses_a_grid_too_large_to_search():
     """The error its docstring names is one `clic` exports."""
     with pytest.raises(SearchTooLarge):
         check_truth_preservation(Bounds(10_000, 1, 1, ("p",)), 1)
+
+
+def test_preservation_runs_a_grid_of_exactly_max_formulas(monkeypatch):
+    """The formula bound is inclusive: one formula more refuses."""
+    import clic.translation
+    from clic import ClicError
+
+    b = Bounds(1, 2, 2, ("p",))
+    monkeypatch.setattr(clic.translation, "MAX_FORMULAS", 27)
+    assert check_truth_preservation(b, 1).formulas_checked == 27
+    monkeypatch.setattr(clic.translation, "MAX_FORMULAS", 26)
+    with pytest.raises(ClicError, match="over 26 formulas up to depth 1"):
+        check_truth_preservation(b, 1)

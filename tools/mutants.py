@@ -13,7 +13,7 @@ NAME arguments keep the mutants of the targets whose names contain one.
 The script prints each survivor and exits 1 if any is not listed, with
 the reason it changes no behaviour, in `equivalent_mutants.json` beside
 it; else 0.  Standard library only; pytest does not collect it.  A full
-run takes about 20 minutes with two jobs on a 2-core machine.
+run takes about 25 minutes with two jobs on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ TARGETS = {
         "compile_formula", "first_failure"),
     "src/clic/validity.py": ("_search",),
     "src/clic/laws.py": ("_instance_of", "_searches"),
+    "src/clic/translation.py": ("check_truth_preservation",),
 }
 TESTS = ("tests/test_eval.py", "tests/test_validity.py",
-         "tests/test_golden.py", "tests/test_laws.py")
+         "tests/test_golden.py", "tests/test_laws.py",
+         "tests/test_translation.py")
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 MEMORY = 2 << 30                # address space of each test run, bytes
 
