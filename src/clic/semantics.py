@@ -17,7 +17,7 @@ lets one formula run over many models without renaming.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import UnknownState
 from .formula import (
@@ -111,20 +111,22 @@ def _witnesses(game: _Game, kind: type, body: frozenset[str],
 
 
 @guard_nesting
-def extensions(m: CoalitionModel, formulas: list[Formula]
+def extensions(m: CoalitionModel, formulas: Iterable[Formula]
                ) -> list[frozenset[str]]:
     """The set of states of m at which each of formulas holds, in order.
 
     One memo, for this call only, evaluates each subformula node once:
-    it is keyed by node identity (`formulas` keeps every node alive), so
-    a lookup hashes an int, and equal but distinct subterms are evaluated
-    separately.  Each coalition's joint actions are drawn once, in one
-    `_Game` that every modal node over it shares.  An AST too deep for
-    the stack raises ClicError (`guard_nesting`).
+    it is keyed by node identity (the formulas are listed first, so no
+    id is reused) and a lookup hashes an int.  Equal but distinct
+    subterms are evaluated separately, but a modal node is decided once
+    per (kind, coalition, body extension), and each coalition's joint
+    actions are drawn once, in one `_Game`.  An AST too deep for the
+    stack raises ClicError (`guard_nesting`).
     """
-    all_states = frozenset(m.states)
+    formulas, all_states = list(formulas), frozenset(m.states)
     memo: dict[int, frozenset[str]] = {}
     games: dict[int, _Game] = {}
+    decided: dict[tuple, frozenset[str]] = {}
 
     def ext(g: Formula) -> frozenset[str]:
         got = memo.get(id(g))
@@ -150,10 +152,13 @@ def extensions(m: CoalitionModel, formulas: list[Formula]
             result = all_states - (left ^ right)
         elif kind is Ability or kind is Inability:
             body, c = ext(g.body), g.coalition
-            game = games.get(c.mask)
-            if game is None:
-                game = games[c.mask] = _Game(m, c)
-            result = frozenset(_witnesses(game, kind, body, m.states))
+            result = decided.get((kind, c.mask, body))
+            if result is None:
+                game = games.get(c.mask)
+                if game is None:
+                    game = games[c.mask] = _Game(m, c)
+                result = decided[kind, c.mask, body] = frozenset(
+                    _witnesses(game, kind, body, m.states))
         else:
             raise TypeError(f"not a formula: {g!r}")
         memo[id(g)] = result

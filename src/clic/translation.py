@@ -87,8 +87,9 @@ def check_truth_preservation(b: Bounds,
     frame (a per-row table by each state's row choice), the engine
     rebuilds the model of valuation v on the frame, and the states
     whose bit v is set are compared with the reference's extension:
-    one comparison per formula and model, and a walk of the states only
-    where they differ.  Violations are listed in that order: by size
+    one comparison per formula and model (one state set per distinct
+    lane vector of the frame), and a walk of the states only where they
+    differ.  Violations are listed in that order: by size
     block, frame, valuation, formula and state.  The grid walks every
     model, so `_eval._plan` charges it for every coalition and frame,
     and sizes it before it builds a formula: past the plan's bounds it
@@ -113,23 +114,21 @@ def check_truth_preservation(b: Bounds,
                  if need <= block.n_agents]
         fs = [f for f, _ in bound]
         total += len(bound) * block.n_models * block.n_states
-        states, by_lanes = _layout(block.n_states, block.sizes)[0], {}
+        states, _, subsets, _ = _layout(block.n_states, block.sizes)
         for fr in block.frames():
-            row = [block.at(x, fr) for _, x in bound]
-            for want in row:    # each value's states per valuation, once
-                if want not in by_lanes:
-                    by_lanes[want] = [frozenset(
-                        s for s, lane in zip(states, want) if lane >> v & 1)
-                        for v in range(block.n_valuations)]
-            row = [by_lanes[want] for want in row]
+            index: dict[tuple[int, ...], int] = {}  # the frame's lane vectors
+            keys = [index.setdefault(block.at(x, fr), len(index))
+                    for _, x in bound]
             for v in range(block.n_valuations):
                 m = block.model(v, fr)
+                sets = [subsets[sum(1 << i for i, lane in enumerate(want)
+                                    if lane >> v & 1)] for want in index]
                 # One reference call per model shares common subformulas;
                 # the states are walked only where the two sides differ.
-                for f, sets, ref in zip(fs, row, extensions(m, fs)):
-                    if sets[v] != ref:
+                for f, k, ref in zip(fs, keys, extensions(m, fs)):
+                    if sets[k] != ref:
                         violations.extend((f, m, s) for s in states
-                                          if (s in ref) is not (s in sets[v]))
+                                          if (s in ref) is not (s in sets[k]))
     return PreservationReport(total, len(jobs),
                               sum(block.n_models for block in space),
                               tuple(violations))

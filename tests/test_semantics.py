@@ -124,10 +124,11 @@ def test_extensions_agree_with_extension_one_by_one(name):
     assert extensions(m, fs) == [extension(m, f) for f in fs]
 
 
-def test_extensions_evaluate_each_node_object_once(monkeypatch):
-    """The memo is keyed by node identity: formulas that share subterm
-    objects decide each modal node object once, and an equal but
-    distinct copy is decided again, to the same set."""
+def test_extensions_decide_each_modal_question_once(monkeypatch):
+    """A modal node is decided once per (kind, coalition, body extension),
+    whichever node objects pose it: formulas that share subterm objects
+    decide fewer questions than they have modal nodes, and an equal but
+    distinct copy decides none again, to the same set."""
     from test_formula import rebuild
 
     decided = []
@@ -137,17 +138,40 @@ def test_extensions_evaluate_each_node_object_once(monkeypatch):
         decided.append(kind)
         return real(game, kind, body, states)
 
-    monkeypatch.setattr(semantics, "_witnesses", spy)
     fs = list(enumerate_formulas(("p",), 2, 2))
     modal = [g for f in fs for g, _ in walk(f)
              if type(g) in (Ability, Inability)]
-    objects = len({id(g) for g in modal})
+    questions = {(type(g), g.coalition, extension(M1, g.body))
+                 for g in modal}
+    monkeypatch.setattr(semantics, "_witnesses", spy)
     got = extensions(M1, fs)
-    assert len(decided) == objects < len(modal)
+    assert len(decided) == len(questions) < len({id(g) for g in modal})
     decided.clear()
-    # The copies share no node, so each of their modal nodes is decided.
+    # The copies share no node with fs, and pose no new question.
     assert extensions(M1, fs + [rebuild(f) for f in fs]) == got + got
-    assert len(decided) == objects + len(modal)
+    assert len(decided) == len(questions)
+
+
+def test_extensions_key_nodes_by_identity(monkeypatch):
+    """The memo never hashes a formula: its lookups hash node ids."""
+    fs = list(enumerate_formulas(("p",), 2, 2))
+    hashed = []
+    for kind in {type(g) for f in fs for g, _ in walk(f)}:
+        monkeypatch.setattr(kind, "__hash__",
+                            lambda g: hashed.append(g) or id(g))
+    assert extensions(M1, fs) == [extension(M1, f) for f in fs]
+    assert hashed == []
+
+
+def test_extensions_of_a_generator_of_fresh_formulas():
+    """Nodes of formulas a generator has moved past stay pinned for the
+    call: a later formula's nodes cannot reuse their ids in the memo."""
+    texts = [t for _ in range(20) for t in (
+        "p & E[1] q", "!(p | q)", "I[2] (p -> q)", "p <-> E[1,2] !q",
+        "E[] (q & !p)", "I[1] p | I[2] !q")]
+    fs = [parse_formula(t) for t in texts]
+    want = [extension(M1, f) for f in fs]
+    assert extensions(M1, (parse_formula(t) for t in texts)) == want
 
 
 def test_state_and_coalition_validation():

@@ -212,6 +212,23 @@ def test_preservation_reports_a_faulty_reference_both_ways(monkeypatch):
         (Top(), target, "s2"), (Bot(), target, "s1")]
 
 
+def test_preservation_keeps_no_sets_per_valuation():
+    """The grid's memory does not grow with a frame's valuations: 1,024
+    valuations of ten atoms on one state stay under 1 MB traced."""
+    import tracemalloc
+
+    b = Bounds(1, 1, 1, tuple("abcdefghij"), True)
+    check_truth_preservation(b, 0)      # fill the caches first
+    tracemalloc.start()
+    try:
+        rep = check_truth_preservation(b, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.models_checked, rep.violations) == (1024, ())
+    assert peak < 1 << 20
+
+
 def test_preservation_rejects_bad_grids():
     with pytest.raises(BoundsTooSmall):
         check_truth_preservation(Bounds(1, 1, 1), -1)
