@@ -6,14 +6,18 @@ function) is the tuple of its states' outcome rows, and model
 v * n_frames + f pairs valuation v with frame number f; `ModelContext.model`
 rebuilds it, and `first_failure` counts the models a scan checked.  All
 valuations are evaluated at once in lane vectors: ints whose bit v is
-the truth under valuation v.  E[C] g at s is the OR, over the minimal
-state sets C's joint actions reach from s, of the AND of g over each
-set, and I[C] g is its complement.  A block is cached by what it is
-(props, vary_all_states, n_states, sizes), not by the bounds around it,
-and builds a coalition's reach sets when a bind first reads them.  Rows
-with equal minimal reach sets for C form a class (`_column` numbers them
-by first row and maps each row to its class), and a modality is worked
-out once per class, then read per row through that map.
+the truth under valuation v, in the order `_lanes` alone encodes.  E[C] g
+at s is the OR, over the minimal state sets C's joint actions reach from
+s, of the AND of g over each set, and I[C] g is its complement.  A block
+is cached by what it is (props, vary_all_states, n_states, sizes, and the
+rows and n_frames `_plan` counts from them), not by the bounds around it.
+It names its states, actions and complete profiles once, when a caller
+first reads a model, decodes a lane vector at a valuation into a state
+set (`where`), and builds a coalition's reach sets when a bind first
+reads them.  Rows with equal minimal reach sets for C form a class
+(`_column` numbers them by first row and maps each row to its class), and
+a modality is worked out once per class, then read per row through that
+map.
 
 A formula takes its value in a block in one recursive walk of its AST,
 dispatched on node type as in `semantics.extension`.  The value's type
@@ -32,7 +36,7 @@ reference clauses in `semantics`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, product, repeat
 from math import prod
 from operator import and_, getitem, mod, or_, xor
@@ -52,7 +56,6 @@ MAX_REACH_WORK, MAX_VALUATIONS, MAX_FRAME_BITS = 1 << 21, 1 << 18, 14_000
 MAX_FRAME_WALK = 1 << 20
 
 
-@lru_cache(maxsize=64)
 def _lanes(n_states: int, n_props: int):
     """Each atom's lane vector per state, and the mask of all lanes:
     atom j holds in digit j of v, base 2**n_states, first atom slowest."""
@@ -101,7 +104,8 @@ Table = list
 
 class ModelContext:
     """The evaluation context of one size block of a model space: its
-    frames and its valuation lanes; `_column` holds its reach sets, and
+    names, frames and valuation lanes; `where` decodes a lane vector, and
+    `model` a valuation on a frame.  `_column` holds its reach sets, and
     `_table` its tables of modalities over constant bodies."""
 
     def __init__(self, props: tuple[str, ...], vary_all_states: bool,
@@ -130,17 +134,24 @@ class ModelContext:
             return tuple(map(getitem, value, map(mod, fr, map(len, value))))
         return value if type(value) is tuple else value(fr)
 
+    @cached_property
+    def names(self) -> tuple:   # states, actions, profiles; on first use
+        return _layout(self.n_states, self.sizes)
+
+    def where(self, lanes: tuple[int, ...], v: int) -> frozenset[str]:
+        """The states whose lane in `lanes` holds at valuation v."""
+        return frozenset(s for s, x in zip(self.names[0], lanes) if x >> v & 1)
+
     def model(self, valuation: int, fr: tuple[int, ...]) -> CoalitionModel:
         """Valuation `valuation` on frame `fr`; digit j of a row, base
         n_states, is the state's target under complete profile j."""
-        n, props, width = self.n_states, self.props, 1 << self.n_states
-        states, actions, subsets, full = _layout(n, self.sizes)
+        n, (states, actions, full) = self.n_states, self.names
         outcome = {(s, prof): states[r // n ** (len(full) - 1 - j) % n]
                    for s, r in zip(states, fr) for j, prof in enumerate(full)}
         return CoalitionModel(
-            len(self.sizes), states, actions, outcome,
-            {p: subsets[valuation // width ** (len(props) - 1 - j) % width]
-             for j, p in enumerate(props)}, states[0])
+            self.n_agents, states, actions, outcome,
+            {p: self.where(x, valuation)
+             for p, x in zip(self.props, self.atoms)}, states[0])
 
 
 _block = lru_cache(maxsize=256)(ModelContext)

@@ -305,13 +305,10 @@ def _action_counts(n: int, top: int) -> Iterator[tuple[int, ...]]:
 
 
 def _layout(n_states: int, sizes: tuple[int, ...]):
-    """States, actions, state sets by bitmask and complete profiles of
-    one size block."""
+    """States, actions and complete profiles of one size block."""
     states = tuple(f"s{k}" for k in range(1, n_states + 1))
     actions = tuple(tuple(f"a{j}" for j in range(1, m + 1)) for m in sizes)
-    subsets = [frozenset(s for i, s in enumerate(states) if mask >> i & 1)
-               for mask in range(1 << n_states)]
-    return states, actions, subsets, list(product(*actions))
+    return states, actions, list(product(*actions))
 
 
 def enumerate_models(b: Bounds) -> Iterator[CoalitionModel]:
@@ -327,7 +324,9 @@ def enumerate_models(b: Bounds) -> Iterator[CoalitionModel]:
     their evaluation at the initial state never reads other outcomes.
     """
     for n, n_states, sizes in size_blocks(b):
-        states, actions, subsets, full = _layout(n_states, sizes)
+        states, actions, full = _layout(n_states, sizes)
+        subsets = [frozenset(s for i, s in enumerate(states) if mask >> i & 1)
+                   for mask in range(1 << n_states)]
         varied = n_states if b.vary_all_states else 1
         slots = [(s, prof) for s in states[:varied] for prof in full]
         fixed = {(s, prof): s for s in states[varied:] for prof in full}

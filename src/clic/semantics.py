@@ -110,7 +110,6 @@ def _witnesses(game: _Game, kind: type, body: frozenset[str],
     return found
 
 
-@guard_nesting
 def extensions(m: CoalitionModel, formulas: Iterable[Formula]
                ) -> list[frozenset[str]]:
     """The set of states of m at which each of formulas holds, in order.
@@ -121,9 +120,16 @@ def extensions(m: CoalitionModel, formulas: Iterable[Formula]
     subterms are evaluated separately, but a modal node is decided once
     per (kind, coalition, body extension), and each coalition's joint
     actions are drawn once, in one `_Game`.  An AST too deep for the
-    stack raises ClicError (`guard_nesting`).
+    stack raises ClicError (`guard_nesting`), measured on the list, so
+    a formula drawn from a generator is measured too.
     """
-    formulas, all_states = list(formulas), frozenset(m.states)
+    return _extensions(m, list(formulas))
+
+
+@guard_nesting
+def _extensions(m: CoalitionModel, formulas: list[Formula]
+                ) -> list[frozenset[str]]:
+    all_states = frozenset(m.states)
     memo: dict[int, frozenset[str]] = {}
     games: dict[int, _Game] = {}
     decided: dict[tuple, frozenset[str]] = {}

@@ -17,7 +17,7 @@ from .formula import (
     Ability, And, Atom, Bot, Formula, Iff, Implies, Inability, Not, Or, Top,
     enumerate_formulas, guard_nesting, walk,
 )
-from .model import Bounds, CoalitionModel, _layout
+from .model import Bounds, CoalitionModel
 from .semantics import extensions
 from .validity import _require_searchable
 
@@ -84,12 +84,12 @@ def check_truth_preservation(b: Bounds,
     Comparing both sides on the same engine would prove nothing: the
     engine already evaluates I[C] as the complement of E[C].  The grid
     runs frame by frame: `block.at` reads a value's lane vectors in the
-    frame (a per-row table by each state's row choice), the engine
-    rebuilds the model of valuation v on the frame, and the states
-    whose bit v is set are compared with the reference's extension:
-    one comparison per formula and model (one state set per distinct
-    lane vector of the frame), and a walk of the states only where they
-    differ.  Violations are listed in that order: by size
+    frame (a per-row table by each state's row choice), `block.model`
+    rebuilds the model of valuation v on the frame, and `block.where`
+    decodes each distinct lane vector of the frame into its state set
+    at v, which is compared with the reference's extension: one
+    comparison per formula and model, and a walk of the model's states
+    only where they differ.  Violations are listed in that order: by size
     block, frame, valuation, formula and state.  The grid walks every
     model, so `_eval._plan` charges it for every coalition and frame,
     and sizes it before it builds a formula: past the plan's bounds it
@@ -114,20 +114,18 @@ def check_truth_preservation(b: Bounds,
                  if need <= block.n_agents]
         fs = [f for f, _ in bound]
         total += len(bound) * block.n_models * block.n_states
-        states, _, subsets, _ = _layout(block.n_states, block.sizes)
         for fr in block.frames():
             index: dict[tuple[int, ...], int] = {}  # the frame's lane vectors
             keys = [index.setdefault(block.at(x, fr), len(index))
                     for _, x in bound]
             for v in range(block.n_valuations):
                 m = block.model(v, fr)
-                sets = [subsets[sum(1 << i for i, lane in enumerate(want)
-                                    if lane >> v & 1)] for want in index]
+                sets = [block.where(want, v) for want in index]
                 # One reference call per model shares common subformulas;
                 # the states are walked only where the two sides differ.
                 for f, k, ref in zip(fs, keys, extensions(m, fs)):
                     if sets[k] != ref:
-                        violations.extend((f, m, s) for s in states
+                        violations.extend((f, m, s) for s in m.states
                                           if (s in ref) is not (s in sets[k]))
     return PreservationReport(total, len(jobs),
                               sum(block.n_models for block in space),

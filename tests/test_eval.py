@@ -64,6 +64,22 @@ def test_blocks_rebuild_enumerate_models():
             assert fr == tuple(_row(m, s) for s in m.states)
 
 
+def test_a_block_names_its_states_once(monkeypatch):
+    """The grid reads each model's names and valuation off its block,
+    which lays them out once, on first use, not once per model."""
+    import clic._eval as engine
+    layout, built = engine._layout, []
+
+    def spy(n_states, sizes):
+        built.append((n_states, sizes))
+        return layout(n_states, sizes)
+    monkeypatch.setattr(engine, "_layout", spy)
+    _block.cache_clear()
+    report = check_truth_preservation(Bounds(1, 4, 1, ("p",)), 0)
+    assert report.models_checked > 4 and not report.violations
+    assert built == [(k, (1,)) for k in range(1, 5)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(MODELS), st.sampled_from(FORMULAS))
 def test_engines_agree(entry, f):

@@ -312,14 +312,14 @@ def test_too_deep_formula_in_a_list_is_an_error_not_a_crash():
         extensions(fixture_model("m1"), [Atom("p"), f])
 
 
-def test_too_deep_formula_the_guard_cannot_measure_stays_a_recursion_error():
-    """A formula drawn from a generator is gone once the call has consumed
-    it; with nothing to measure, the guard re-raises the RecursionError."""
+def test_too_deep_formula_drawn_from_a_generator_is_measured():
+    """`extensions` lists its formulas before it evaluates any, and the
+    guard measures that list, so a generator's formulas are measured too."""
     from clic import Ability, Atom, Coalition, extensions, fixture_model
     f = Atom("p")
     for _ in range(3_000):
         f = Ability(Coalition((1,)), f)
-    with pytest.raises(RecursionError):
+    with pytest.raises(ClicError, match="nested too deeply"):
         extensions(fixture_model("m1"), (g for g in [f]))
 
 

@@ -12,8 +12,10 @@ NAME arguments keep the mutants of the targets whose names contain one.
 
 The script prints each survivor and exits 1 if any is not listed, with
 the reason it changes no behaviour, in `equivalent_mutants.json` beside
-it; else 0.  Standard library only; pytest does not collect it.  A full
-run takes about 25 minutes with two jobs on a 2-core machine.
+it; else 0.  It exits 2, `--list` included, if a target is not defined
+or a listed equivalent names no current mutant.  Standard library only;
+pytest does not collect it.  A full run takes about 25 minutes with two
+jobs on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -115,14 +117,19 @@ def _sites(node: ast.AST):
 
 def mutants() -> list[tuple[str, str, int]]:
     """(name, path, site number) per mutant: the name is the target, its
-    source line, and the change, numbered when a line has it twice."""
-    out = []
+    source line, and the change, numbered when a line has it twice.
+    Exits 2 if a target is not defined, or an entry of EQUIVALENTS names
+    no mutant: either means the list has drifted from the code."""
+    out, drift = [], []
     for path, names in TARGETS.items():
         source = (ROOT / path).read_text(encoding="utf-8")
         lines, module = source.splitlines(), Path(path).stem
         tree = ast.parse(source)
+        defs = list(_definitions(tree, names))
+        drift += [f"target {module}.{name} is not defined in {path}"
+                  for name in names if name not in dict(defs)]
         number, seen = 0, {}
-        for name, node in _definitions(tree, names):
+        for name, node in defs:
             for n, _, _, old, new in _sites(node):
                 old, new = (_SYMBOLS.get(x, x) for x in (old, new))
                 key = f"{module}.{name}: {lines[n.lineno - 1].strip()}: " \
@@ -131,6 +138,13 @@ def mutants() -> list[tuple[str, str, int]]:
                 out.append((key + (f" #{seen[key]}" if seen[key] > 1
                                    else ""), path, number))
                 number += 1
+    known = {name for name, _, _ in out}
+    drift += [f"equivalent {e['mutant']!r} names no mutant"
+              for e in json.loads(EQUIVALENTS.read_text("utf-8"))
+              if e["mutant"] not in known]
+    if drift:
+        print("\n".join(drift), file=sys.stderr)
+        raise SystemExit(2)
     return out
 
 
